@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from fractions import Fraction
 
 from . import characters, config, homalg, rigidity, verify
@@ -194,20 +195,17 @@ def _cmd_catalog(args, cfg) -> int:
 
 def _cmd_verify(args, cfg) -> int:
     names = list(verify.SUITES) if args.suite == "all" else [args.suite]
-    if args.max_length is not None or args.max_flow is not None:
-        from dataclasses import replace
-        cfg = replace(
-            cfg,
-            pool_max_length=args.max_length or cfg.pool_max_length,
-            pool_max_flow=args.max_flow or cfg.pool_max_flow,
-        )
+    if args.max_length is not None:
+        cfg = replace(cfg, pool_max_length=args.max_length)
+    if args.max_flow is not None:
+        cfg = replace(cfg, pool_max_flow=args.max_flow)
     results = verify.run_suites(names, cfg)
     all_passed = all(c.passed for checks in results.values() for c in checks)
     payload = {
         "passed": all_passed,
         "suites": {
-            name: [{"name": c.name, "passed": c.passed, "detail": c.detail}
-                   for c in checks]
+            name: [{"name": c.name, "passed": c.passed, "detail": c.detail,
+                    "cases": c.cases} for c in checks]
             for name, checks in results.items()
         },
     }

@@ -32,7 +32,10 @@ def parse_jwindow(text: str) -> tuple[Fraction, Fraction]:
     parts = text.split(":")
     if len(parts) != 2:
         raise ValueError(f"jwindow must look like 'a:b', got {text!r}")
-    lo, hi = Fraction(parts[0].strip()), Fraction(parts[1].strip())
+    try:
+        lo, hi = Fraction(parts[0].strip()), Fraction(parts[1].strip())
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"jwindow bounds must be rationals, got {text!r}") from None
     if lo > hi:
         raise ValueError(f"empty jwindow {text!r}")
     return lo, hi

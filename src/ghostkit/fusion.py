@@ -311,8 +311,3 @@ def groth_product(a: GrothClass, b: GrothClass) -> GrothClass:
 
 def unit_class() -> GrothClass:
     return groth_class(Vac(0))
-
-
-def clear_cache():
-    _BASE_CACHE.clear()
-    _PAIR_CACHE.clear()

@@ -138,7 +138,3 @@ def parse_single_module(text: str) -> Module:
     if len(total.terms) != 1 or total.terms[0][1] != 1:
         raise ParseError("expected a single module expression", 0)
     return total.terms[0][0]
-
-
-def format_sum(x: FormalSum) -> str:
-    return str(x)

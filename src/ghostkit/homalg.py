@@ -81,8 +81,6 @@ def _hom_modules(m: Module, n: Module) -> int:
     if isinstance(n, Typ):
         return src_factors.get(n, 0)
     # Both sides now live in the vacuum sector (simple or string).
-    if isinstance(m, Typ) or isinstance(n, Typ):  # pragma: no cover
-        return 0
     word_m = string_rows(m)
     word_n = string_rows(n)
     quots = _quotient_segments(word_m)

@@ -22,7 +22,6 @@ factor to its adjacent bottom factors.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Union
@@ -201,10 +200,6 @@ def is_simple(mod: Module) -> bool:
     return isinstance(mod, (Vac, Typ))
 
 
-def is_string(mod: Module) -> bool:
-    return isinstance(mod, (BStr, TStr))
-
-
 def is_projective(mod: Module) -> bool:
     """Projective objects are exactly the relaxed simples and the staggered
     modules; projectivity and injectivity coincide here."""
@@ -308,9 +303,6 @@ class FormalSum:
         return f"FormalSum({self})"
 
 
-ZERO_SUM = FormalSum()
-
-
 def as_sum(x) -> FormalSum:
     """Coerce a module or sum to a :class:`FormalSum`."""
     if isinstance(x, FormalSum):
@@ -338,13 +330,6 @@ def composition_factors(x) -> dict[Module, int]:
         else:
             raise TypeError(f"not a canonical module: {mod!r}")
     return {m: k for m, k in sorted(out.items(), key=lambda t: sort_key(t[0]))}
-
-
-def factor_multiplicity(x, simple: Module) -> int:
-    """The multiplicity ``[x : simple]`` of a simple composition factor."""
-    if not is_simple(simple):
-        raise ValueError(f"{simple} is not simple")
-    return composition_factors(x).get(simple, 0)
 
 
 def length(x) -> int:
@@ -480,22 +465,3 @@ def sequence_catalog(bound: int = 8) -> list[ExactSequence]:
                         bstr(n - 2, 2), bstr(n, 0), bstr(2, 0)))
     return out
 
-
-def all_modules_in(*sums) -> Iterator[Module]:
-    seen = set()
-    for s in sums:
-        for mod, _ in as_sum(s):
-            if mod not in seen:
-                seen.add(mod)
-                yield mod
-
-
-def modules_of_catalog(catalog: Iterable[ExactSequence]) -> list[Module]:
-    its = itertools.chain.from_iterable(
-        all_modules_in(seq.sub, seq.middle, seq.quotient) for seq in catalog)
-    out, seen = [], set()
-    for mod in its:
-        if mod not in seen:
-            seen.add(mod)
-            out.append(mod)
-    return out

@@ -142,13 +142,14 @@ def identity_report(j: float) -> dict[str, float]:
 def sweep(points: int = 50, *, tol: float = 1e-10, floor: float = 1e-8):
     """Run the identity grid and the non-vanishing check.
 
-    Returns ``(identities_ok, nonvanishing_ok, min_abs_I)``.
+    Returns ``(identities_ok, nonvanishing_ok, min_abs_I)``.  Both flags
+    require the strict inequality at every grid point, so a NaN fails them.
     """
-    identities_ok = True
+    identities_ok = nonvanishing_ok = True
     min_abs = math.inf
     for j in default_grid(points):
-        devs = identity_report(j)
-        if max(devs.values()) > tol:
-            identities_ok = False
-        min_abs = min(min_abs, abs(rigidity_constant(j)))
-    return identities_ok, min_abs > floor, min_abs
+        identities_ok &= all(dev < tol for dev in identity_report(j).values())
+        size = abs(rigidity_constant(j))
+        nonvanishing_ok &= size > floor
+        min_abs = min(min_abs, size)
+    return identities_ok, nonvanishing_ok, min_abs

@@ -2,6 +2,7 @@ import json
 from importlib import resources
 
 import jsonschema
+import pytest
 
 from ghostkit.cli import main
 
@@ -159,6 +160,42 @@ def test_verify_text_summary(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "numerics")
     assert code == 0
     assert "suite numerics: PASS" in out
+
+
+def test_verify_zero_pool_bounds_are_used(capsys):
+    code, out, _ = run(capsys, "--format", "json", "verify", "--suite", "fusion",
+                       "--max-length", "0", "--max-flow", "0")
+    assert code == 0
+    payload = json.loads(out)
+    validate(payload, "verify.schema.json")
+    checks = {c["name"]: c for c in payload["suites"]["fusion"]}
+    # V[0], three relaxed simples and P[0]: 15 unordered pairs
+    assert checks["commutativity"]["cases"] == 15
+
+
+@pytest.mark.parametrize("flags, cfg_text", [
+    (["--max-flow", "-1"], ""),
+    ([], "pool_max_flow = -1\n"),
+])
+def test_verify_rejects_negative_pool_bound(tmp_path, capsys, flags, cfg_text):
+    cfg = tmp_path / "ghostkit.cfg"
+    cfg.write_text(cfg_text)
+    code, out, err = run(capsys, "--config", str(cfg), "verify", "--suite", "homalg",
+                         *flags)
+    assert code == 1
+    assert out == ""
+    assert "non-negative" in err
+
+
+def test_bad_jwindow_fraction_is_quoted(tmp_path, capsys):
+    code, _, err = run(capsys, "char", "V[0]", "--jwindow=0:1/0")
+    assert code == 1
+    assert "'0:1/0'" in err
+    cfg = tmp_path / "ghostkit.cfg"
+    cfg.write_text("jwindow = 0:1/0\n")
+    code, _, err = run(capsys, "--config", str(cfg), "char", "V[0]")
+    assert code == 1
+    assert "config error" in err and "'0:1/0'" in err
 
 
 def test_config_file_changes_defaults(tmp_path, capsys, monkeypatch):
