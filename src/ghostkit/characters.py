@@ -9,9 +9,21 @@ has ground states at every nonpositive ghost weight).
 Two independent routes compute the untwisted simple characters:
 
 * :func:`pbw_character_oracle` literally enumerates monomials of negative
-  modes over the ground states -- the ground truth;
+  modes over the ground states and sums each column entry by entry -- the
+  ground truth;
 * :func:`character` uses a generating-function count of the free monoid
   and regrades columns through the spectral-flow weight map.
+
+The fast route shares no counting code with the oracle.  Its monomial
+counts come from one module-level table (:func:`free_monomial_counts`)
+that stores, per weight, suffix sums over ghost charge, so a vacuum column
+entry is one lookup and a relaxed one is the row total.  The table is
+rebuilt only when a larger weight is needed, and never beyond
+:data:`MAX_TABLE_WEIGHT`: a character that would need more raises
+:class:`ValueError` before anything is allocated.  All weights of a flowed
+simple share their fractional parts (its sector), so the fast route keys
+its grids by integer offsets within the sector and builds ``Fraction`` keys
+once per output entry.
 
 Characters of non-simple indecomposables are the sums of their composition
 factors' characters (graded dimension ignores the filtration), and
@@ -25,9 +37,11 @@ comparisons in tests intersect certified regions.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Mapping
+from itertools import accumulate
+from operator import add
 
 from .modules import Module, Typ, Vac, composition_factors
 from .weights import flow_weight, weight
@@ -102,32 +116,98 @@ def _parse_window(jwindow) -> tuple[Fraction, Fraction]:
     return jmin, jmax
 
 
-def free_monomial_counts(max_weight: int) -> dict[tuple[int, int], int]:
+# The largest weight of the shared monomial table.  The table lives for the
+# whole process and its build time grows like the cube of the weight; at
+# this weight the build takes about 10 s and 47 MB (Python 3.11, one core
+# of an Intel Xeon server).
+MAX_TABLE_WEIGHT = 550
+
+# Per weight ``w``, the suffix sums over ghost charge: entry ``i`` is the
+# number of monomials of weight ``w`` and ghost charge at least ``i - w``.
+# Replaced, never mutated, when a larger weight is asked for.
+_SUFFIX: tuple[tuple[int, ...], ...] = ((1,),)
+
+
+class MonomialCounts(Mapping):
+    """Read-only view of the shared monomial table up to ``max_weight``.
+
+    Keys are ``(ghost, weight)`` pairs with a nonzero count; the counts are
+    differences of adjacent suffix sums.
+    """
+
+    __slots__ = ("_suffix", "max_weight")
+
+    def __init__(self, suffix: tuple[tuple[int, ...], ...], max_weight: int):
+        self._suffix = suffix
+        self.max_weight = max_weight
+
+    def __getitem__(self, key: tuple[int, int]) -> int:
+        g, w = key
+        if 0 <= w <= self.max_weight and -w <= g <= w:
+            row = self._suffix[w]
+            i = g + w
+            c = row[i] - (row[i + 1] if i < 2 * w else 0)
+            if c:
+                return c
+        raise KeyError(key)
+
+    def __iter__(self) -> Iterator[tuple[int, int]]:
+        for w in range(self.max_weight + 1):
+            row = self._suffix[w] + (0,)
+            for i in range(2 * w + 1):
+                if row[i] != row[i + 1]:
+                    yield i - w, w
+
+    def __len__(self) -> int:
+        return sum(1 for _ in self)
+
+    def total(self, w: int) -> int:
+        """Number of monomials of weight ``w``, any ghost charge."""
+        if not 0 <= w <= self.max_weight:
+            raise KeyError(w)
+        return self._suffix[w][0]
+
+    def at_least(self, j: int, w: int) -> int:
+        """Number of monomials of weight ``w`` and ghost charge ``>= j``."""
+        if not 0 <= w <= self.max_weight:
+            raise KeyError(w)
+        return self._suffix[w][max(j + w, 0)] if j <= w else 0
+
+
+def _build_suffix_table(max_weight: int) -> tuple[tuple[int, ...], ...]:
+    # Row w holds the counts at ghost charges -w..w.  Each generator (n, s),
+    # taken in turn with unbounded multiplicity, adds row w - n shifted by
+    # s to row w (an unbounded knapsack over weight).
+    rows = [[0] * (2 * w + 1) for w in range(max_weight + 1)]
+    rows[0][0] = 1
+    for n in range(1, max_weight + 1):
+        for s in (1, -1):
+            lo = n + s
+            for w in range(n, max_weight + 1):
+                row, prev = rows[w], rows[w - n]
+                hi = lo + len(prev)
+                row[lo:hi] = map(add, row[lo:hi], prev)
+    return tuple(tuple(accumulate(reversed(row)))[::-1] for row in rows)
+
+
+def free_monomial_counts(max_weight: int) -> MonomialCounts:
     """Count monomials in the free negative modes by (ghost, weight).
 
     Generators: one ghost-raising and one ghost-lowering mode at every
-    positive integer weight, each of unbounded multiplicity.
+    positive integer weight, each of unbounded multiplicity.  All callers
+    share one table, rebuilt only when a larger weight is asked for; the
+    result is a read-only view of it cut at ``max_weight``.  Raises
+    :class:`ValueError` above :data:`MAX_TABLE_WEIGHT`, before allocating.
     """
-    if max_weight < 0:
-        return {}
-    width = max_weight
-    table = [[0] * (2 * width + 1) for _ in range(max_weight + 1)]
-    table[0][width] = 1
-    for n in range(1, max_weight + 1):
-        for s in (1, -1):
-            for w in range(n, max_weight + 1):
-                row, prev = table[w], table[w - n]
-                for g in range(2 * width + 1):
-                    gp = g - s
-                    if 0 <= gp <= 2 * width and prev[gp]:
-                        row[g] += prev[gp]
-    out = {}
-    for w in range(max_weight + 1):
-        for g in range(-width, width + 1):
-            c = table[w][g + width]
-            if c:
-                out[(g, w)] = c
-    return out
+    global _SUFFIX
+    if max_weight > MAX_TABLE_WEIGHT:
+        raise ValueError(
+            f"characters need the monomial table to weight {max_weight}, above the "
+            f"limit {MAX_TABLE_WEIGHT}; lower hmax or the flows")
+    table = _SUFFIX
+    if max_weight >= len(table):
+        table = _SUFFIX = _build_suffix_table(max_weight)
+    return MonomialCounts(table, max_weight)
 
 
 def _enumerate_free_monomials(max_weight: int) -> dict[tuple[int, int], int]:
@@ -173,7 +253,7 @@ def pbw_character_oracle(mod: Module, hmax, jwindow) -> CharSeries:
     free = _enumerate_free_monomials(max(wmax, 0))
     coeffs: dict[tuple[Fraction, Fraction], int] = {}
     bounds: dict[Fraction, Fraction] = {}
-    for j in _columns_in_window(mod, 0, jmin, jmax):
+    for j in _columns_in_window(mod, jmin, jmax):
         bounds[j] = hmax
         for h in range(0, wmax + 1):
             if isinstance(mod, Vac):
@@ -185,78 +265,76 @@ def pbw_character_oracle(mod: Module, hmax, jwindow) -> CharSeries:
     return CharSeries(bounds, coeffs)
 
 
-def _columns_in_window(base: Module, ell: int, jmin: Fraction, jmax: Fraction):
-    """Ghost columns of ``flow(base, ell)`` inside the window."""
-    if isinstance(base, Vac):
-        offset = Fraction(0)
-    else:
-        offset = base.coset
-    # columns are offset + Z shifted by the flow
-    lo = jmin - offset + ell
-    first = Fraction(math.ceil(lo))
-    col = offset - ell + first
+def _columns_in_window(mod: Module, jmin: Fraction, jmax: Fraction):
+    """Ghost columns of the untwisted simple ``mod`` inside the window."""
+    offset = Fraction(0) if isinstance(mod, Vac) else mod.coset
+    col = offset + math.ceil(jmin - offset)
     out = []
     while col <= jmax:
-        if col >= jmin:
-            out.append(col)
+        out.append(col)
         col += 1
     return out
 
 
 def _simple_character(base: Module, ell: int, hmax: Fraction,
-                      jmin: Fraction, jmax: Fraction) -> dict:
+                      jmin: Fraction, jmax: Fraction):
     """Character columns of ``flow(base, ell)`` for untwisted simple ``base``.
 
     A state of weight ``(j', h')`` in the untwisted module appears at
     ``(j' - ell, h' + ell*j' - ell(ell+1)/2)`` after flowing, so the target
     column ``j`` is fed by source column ``j + ell`` with the conformal
     weight shifted by a per-column offset.
+
+    Every weight of ``flow(base, ell)`` has the same fractional parts
+    ``(jf, hf)``, its sector: ``0`` for the vacuum, ``(c, ell*c mod 1)`` for
+    the relaxed module of coset ``c``.  Returns the sector, the range of
+    column indices ``a`` inside the window and the nonzero entries keyed by
+    integer ``(a, b)``, which stands for the weight ``(jf + a, hf + b)``.
     """
-    coeffs: dict[tuple[Fraction, Fraction], int] = {}
-    cols = _columns_in_window(base, ell, jmin, jmax)
-    half = Fraction(ell * (ell + 1), 2)
-    needed = 0
-    plans = []
-    for j in cols:
-        src_j = j + ell
-        offset = ell * src_j - half  # target h = source h' + offset
-        top_src = hmax - offset
-        if top_src >= 0:
-            needed = max(needed, int(top_src))
-        plans.append((j, src_j, offset, top_src))
-    free = free_monomial_counts(needed)
-    for j, src_j, offset, top_src in plans:
-        if top_src < 0:
-            continue
-        for hp in range(0, int(top_src) + 1):
-            if isinstance(base, Vac):
-                d = _vacuum_column(free, int(src_j), hp)
-            else:
-                d = _relaxed_column(free, hp)
+    vacuum = isinstance(base, Vac)
+    if vacuum:
+        jf = hf = Fraction(0)
+    else:
+        jf, hf = base.coset, ell * base.coset % 1
+    cols = range(math.ceil(jmin - jf), math.floor(jmax - jf) + 1)
+    # Column a has source column jf + a + ell and offset hf + off0 + ell*a,
+    # so source weight h' lands at b = h' + off0 + ell*a, and b <= bmax.
+    off0 = math.floor(ell * jf) + ell * ell - ell * (ell + 1) // 2
+    bmax = math.floor(hmax - hf)
+    ends = (cols[0], cols[-1]) if cols else ()
+    needed = max((bmax - off0 - ell * a for a in ends), default=0)
+    free = free_monomial_counts(max(needed, 0))
+    coeffs: dict[tuple[int, int], int] = {}
+    for a in cols:
+        off = off0 + ell * a
+        src = a + ell
+        for hp in range(bmax - off + 1):
+            d = free.at_least(src, hp) if vacuum else free.total(hp)
             if d:
-                coeffs[(j, hp + offset)] = d
-    return cols, coeffs
+                coeffs[(a, hp + off)] = d
+    return (jf, hf), cols, coeffs
 
 
 def character(x, hmax=8, jwindow=(-6, 6)) -> CharSeries:
     """Character of a module or formal sum on the requested truncation."""
     jmin, jmax = _parse_window(jwindow)
     hmax = Fraction(hmax)
-    total: dict[tuple[Fraction, Fraction], int] = {}
-    bounds: dict[Fraction, Fraction] = {}
-
-    def add_simple(base: Module, ell: int, mult: int):
-        cols, coeffs = _simple_character(base, ell, hmax, jmin, jmax)
-        for j in cols:
-            bounds[j] = hmax
-        for key, d in coeffs.items():
-            total[key] = total.get(key, 0) + mult * d
-
+    # sector -> (column indices, integer-grid entries)
+    sectors: dict[tuple[Fraction, Fraction], tuple[range, dict]] = {}
     for simple, k in composition_factors(x).items():
-        if isinstance(simple, Vac):
-            add_simple(Vac(0), simple.ell, k)
-        else:
-            add_simple(Typ(simple.coset, 0), simple.ell, k)
+        base = Vac(0) if isinstance(simple, Vac) else Typ(simple.coset, 0)
+        sector, cols, coeffs = _simple_character(base, simple.ell, hmax, jmin, jmax)
+        grid = sectors.setdefault(sector, (cols, {}))[1]
+        for key, d in coeffs.items():
+            grid[key] = grid.get(key, 0) + k * d
+    bounds: dict[Fraction, Fraction] = {}
+    total: dict[tuple[Fraction, Fraction], int] = {}
+    for (jf, hf), (cols, grid) in sectors.items():
+        js = {a: jf + a for a in cols}
+        hs = {b: hf + b for b in {b for _, b in grid}}
+        bounds.update(dict.fromkeys(js.values(), hmax))
+        for (a, b), d in grid.items():
+            total[(js[a], hs[b])] = d
     return CharSeries(bounds, total)
 
 

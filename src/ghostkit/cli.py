@@ -11,7 +11,6 @@ import argparse
 import json
 import sys
 from dataclasses import replace
-from fractions import Fraction
 
 from . import characters, config, homalg, rigidity, verify
 from .functors import conjugate, dual_restricted, dual_star, dual_tensor, flow
@@ -91,7 +90,7 @@ def _cmd_dim(args, cfg, op) -> int:
 
 def _cmd_char(args, cfg) -> int:
     mods = parse_module_expr(args.expr)
-    hmax = Fraction(args.hmax) if args.hmax is not None else cfg.hmax
+    hmax = config.parse_fraction(args.hmax, "hmax") if args.hmax is not None else cfg.hmax
     window = config.parse_jwindow(args.jwindow) if args.jwindow else cfg.jwindow
     ch = characters.character(mods, hmax, window)
     entries = [{"j": str(j), "h": str(h), "dim": d} for j, h, d in ch.entries()]

@@ -28,6 +28,15 @@ class Config:
     pool_cosets: tuple[Fraction, ...] = (Fraction(1, 3), Fraction(1, 2), Fraction(2, 3))
 
 
+def parse_fraction(text: str, what: str) -> Fraction:
+    """Parse one rational, quoting the text in the error."""
+    text = text.strip()
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"{what} must be a rational, got {text!r}") from None
+
+
 def parse_jwindow(text: str) -> tuple[Fraction, Fraction]:
     parts = text.split(":")
     if len(parts) != 2:
@@ -54,7 +63,7 @@ def _apply(cfg: Config, key: str, value: str) -> Config:
     key = key.strip().lower()
     value = value.strip()
     if key == "hmax":
-        return replace(cfg, hmax=Fraction(value))
+        return replace(cfg, hmax=parse_fraction(value, "hmax"))
     if key == "jwindow":
         return replace(cfg, jwindow=parse_jwindow(value))
     if key == "catalog_bound":
@@ -66,7 +75,8 @@ def _apply(cfg: Config, key: str, value: str) -> Config:
     if key == "pool_max_flow":
         return replace(cfg, pool_max_flow=int(value))
     if key == "pool_cosets":
-        cosets = tuple(Fraction(part.strip()) for part in value.split(",") if part.strip())
+        cosets = tuple(parse_fraction(part, "pool_cosets entry")
+                       for part in value.split(",") if part.strip())
         return replace(cfg, pool_cosets=cosets)
     raise ValueError(f"unknown config key {key!r}")
 

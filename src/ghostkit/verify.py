@@ -33,7 +33,7 @@ class Check:
     cases: int = 0
 
     def line(self) -> str:
-        status = "ok" if self.passed else "FAIL"
+        status = "FAIL" if not self.passed else "ok" if self.cases else "skip"
         suffix = f"; {self.detail}" if self.detail else ""
         return f"{status:4s} {self.name} ({self.cases} cases{suffix})"
 

@@ -1,10 +1,12 @@
+import functools
 from fractions import Fraction
 
 import pytest
 
+from ghostkit import characters
 from ghostkit.characters import (
-    TruncationError, char_dual, char_flow, character, free_monomial_counts,
-    pbw_character_oracle,
+    MAX_TABLE_WEIGHT, TruncationError, _enumerate_free_monomials, char_dual, char_flow,
+    character, free_monomial_counts, pbw_character_oracle,
 )
 from ghostkit.functors import dual_restricted, flow
 from ghostkit.modules import bstr, proj, sequence_catalog, tstr, typ, vac
@@ -22,6 +24,28 @@ def test_free_monomial_counts_small():
     assert f[(2, 2)] == 1
     assert f[(1, 2)] == 1
     assert (3, 2) not in f
+
+
+def test_shared_table_matches_enumeration_in_any_order(monkeypatch):
+    # start from an unbuilt table so the ascending pass grows it step by step
+    monkeypatch.setattr(characters, "_SUFFIX", ((1,),))
+    weights = list(range(11))
+    for w in weights + weights[::-1]:
+        assert free_monomial_counts(w) == _enumerate_free_monomials(w), w
+    with pytest.raises(TypeError):
+        free_monomial_counts(3)[(0, 0)] = 7
+
+
+def test_table_weight_limit_is_checked_before_building(monkeypatch):
+    def no_build(weight):
+        raise AssertionError(f"table build started for weight {weight}")
+
+    monkeypatch.setattr(characters, "_build_suffix_table", no_build)
+    too_big = MAX_TABLE_WEIGHT + 1
+    with pytest.raises(ValueError, match=f"weight {too_big}, above the limit {MAX_TABLE_WEIGHT}"):
+        free_monomial_counts(too_big)
+    with pytest.raises(ValueError, match="above the limit"):
+        character(vac(0), too_big, (0, 0))
 
 
 def test_vacuum_oracle_hand_values():
@@ -85,6 +109,32 @@ def test_twisted_character_against_direct_transform():
     src = character(vac(0), 40, (-9, 9))
     moved = char_flow(src, 1)
     assert moved.agrees_with(ch, min_points=50)
+
+
+EDGE_HMAX = (0, Fraction(7, 2), 8)
+EDGE_WINDOW = (Fraction(-5, 2), 3)
+EDGE_BASES = (vac(0), typ(THIRD, 0), typ(Fraction(2, 7), 0), typ(Fraction(1, 2), 0))
+
+
+@functools.cache
+def _deep_edge_character(base):
+    # deep and wide enough to certify every flow |ell| <= 3 on EDGE_WINDOW
+    return character(base, 40, (-7, 7))
+
+
+@pytest.mark.parametrize("hmax", EDGE_HMAX)
+@pytest.mark.parametrize("ell", range(-3, 4))
+@pytest.mark.parametrize("base", EDGE_BASES, ids=str)
+def test_integer_grids_at_fractional_edges(base, ell, hmax):
+    direct = character(flow(base, ell), hmax, EDGE_WINDOW)
+    moved = char_flow(_deep_edge_character(base), ell, require=(hmax, EDGE_WINDOW))
+    lo, hi = EDGE_WINDOW
+    assert set(direct.col_hmax) == {j for j in moved.col_hmax if lo <= j <= hi}
+    assert dict(direct.coeffs) == {(j, h): d for (j, h), d in moved.coeffs.items()
+                                   if lo <= j <= hi and h <= hmax}
+    assert moved.agrees_with(direct)
+    if ell == 0:
+        assert pbw_character_oracle(base, hmax, EDGE_WINDOW) == direct
 
 
 def test_char_flow_identity():

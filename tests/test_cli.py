@@ -4,6 +4,7 @@ from importlib import resources
 import jsonschema
 import pytest
 
+from ghostkit import characters
 from ghostkit.cli import main
 
 
@@ -196,6 +197,41 @@ def test_bad_jwindow_fraction_is_quoted(tmp_path, capsys):
     code, _, err = run(capsys, "--config", str(cfg), "char", "V[0]")
     assert code == 1
     assert "config error" in err and "'0:1/0'" in err
+
+
+@pytest.mark.parametrize("flags, cfg_text", [
+    (["--hmax", "1/0"], ""),
+    ([], "hmax = 1/0\n"),
+    ([], "pool_cosets = 1/3, 1/0\n"),
+])
+def test_bad_rational_is_quoted(tmp_path, capsys, flags, cfg_text):
+    cfg = tmp_path / "ghostkit.cfg"
+    cfg.write_text(cfg_text)
+    code, out, err = run(capsys, "--config", str(cfg), "char", "V[0]", *flags)
+    assert code == 1
+    assert out == ""
+    assert "'1/0'" in err
+    assert ("config error" in err) == bool(cfg_text)
+
+
+def test_char_hmax_above_table_limit(capsys, monkeypatch):
+    def no_build(weight):
+        raise AssertionError(f"table build started for weight {weight}")
+
+    monkeypatch.setattr(characters, "_build_suffix_table", no_build)
+    code, out, err = run(capsys, "char", "V[0]", "--hmax", "1e9")
+    assert code == 1
+    assert out == ""
+    assert "weight 1000000000" in err and f"limit {characters.MAX_TABLE_WEIGHT}" in err
+
+
+def test_verify_zero_case_check_is_skip(capsys):
+    code, out, _ = run(capsys, "verify", "--suite", "fusion",
+                       "--max-length", "3", "--max-flow", "1")
+    assert code == 0
+    lines = {line.split(" (")[0] for line in out.splitlines()}
+    assert "[fusion] skip Grothendieck homomorphism, guard-extended" in lines
+    assert "[fusion] ok   associativity" in lines
 
 
 def test_config_file_changes_defaults(tmp_path, capsys, monkeypatch):
