@@ -20,7 +20,8 @@ that stores, per weight, suffix sums over ghost charge, so a vacuum column
 entry is one lookup and a relaxed one is the row total.  The table is
 rebuilt only when a larger weight is needed, and never beyond
 :data:`MAX_TABLE_WEIGHT`: a character that would need more raises
-:class:`ValueError` before anything is allocated.  All weights of a flowed
+:class:`ValueError` before anything is allocated; so does a ghost window
+wider than :data:`MAX_WINDOW_WIDTH`.  All weights of a flowed
 simple share their fractional parts (its sector), so the fast route keys
 its grids by integer offsets within the sector and builds ``Fraction`` keys
 once per output entry.
@@ -113,6 +114,10 @@ def _parse_window(jwindow) -> tuple[Fraction, Fraction]:
     jmin, jmax = Fraction(jwindow[0]), Fraction(jwindow[1])
     if jmin > jmax:
         raise ValueError(f"empty ghost window {jwindow}")
+    if jmax - jmin > MAX_WINDOW_WIDTH:
+        raise ValueError(
+            f"ghost window {jmin}:{jmax} is {jmax - jmin} wide, above the limit "
+            f"{MAX_WINDOW_WIDTH}; narrow the window")
     return jmin, jmax
 
 
@@ -121,6 +126,12 @@ def _parse_window(jwindow) -> tuple[Fraction, Fraction]:
 # this weight the build takes about 10 s and 47 MB (Python 3.11, one core
 # of an Intel Xeon server).
 MAX_TABLE_WEIGHT = 550
+
+# The widest ghost window.  A character keeps one column per integer ghost
+# weight in its window whatever the flow, and the columns are built before
+# anything else bounds them; at this width the vacuum character to h = 8
+# takes about 10 ms and 1 MB.  The suites need width 18 at the defaults.
+MAX_WINDOW_WIDTH = 1000
 
 # Per weight ``w``, the suffix sums over ghost charge: entry ``i`` is the
 # number of monomials of weight ``w`` and ghost charge at least ``i - w``.

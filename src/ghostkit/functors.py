@@ -81,7 +81,15 @@ def _dual_restricted_one(mod: Module) -> Module:
     raise TypeError(f"not a canonical module: {mod!r}")
 
 
-flow = _lift(_flow_one)
+def flow(x, ell: int):
+    """Spectral flow by ``ell``.  Flowing every term of a sum by the same
+    amount keeps the terms distinct and in canonical order, so the flowed
+    sum is built without re-sorting."""
+    if isinstance(x, FormalSum):
+        return FormalSum._from_sorted(tuple([(_flow_one(m, ell), k) for m, k in x.terms]))
+    return _flow_one(x, ell)
+
+
 conjugate = _lift(_conjugate_one)
 dual_restricted = _lift(_dual_restricted_one)
 

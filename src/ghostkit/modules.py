@@ -14,6 +14,13 @@ one label: ``B[1,m]`` and ``T[1,m]`` are ``V[m]``, and the two length-2
 relaxed modules at the zero coset appear as ``B[2,-1]`` and ``T[2,-1]``.
 Label equality is module equality.
 
+Labels are immutable ``__slots__`` objects.  Each validates its fields and
+then stores, once, its sort key (family rank, then fields, with relaxed
+labels ordered by the value of their coset), an identity key made of ints
+only (the coset as numerator and denominator) and the hash of that key.
+Equality and hashing therefore run no ``Fraction`` arithmetic, and
+:class:`FormalSum` sorts its terms on the stored key.
+
 A string ``B[n,m]`` has composition factors ``V[m], ..., V[m+n-1]`` with the
 factor at offset ``k`` in the bottom row iff ``k`` is even; ``T[n,m]`` uses
 the opposite parity.  Arrows of the module action always point from a top
@@ -24,6 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter, itemgetter
 from typing import Iterable, Iterator, Union
 
 from .weights import coset, coset_str
@@ -32,83 +40,133 @@ TOP = "top"
 BOTTOM = "bottom"
 MIDDLE = "middle"
 
+_set = object.__setattr__
 
-@dataclass(frozen=True)
-class Vac:
+
+class _Label:
+    """Behaviour shared by the five label classes: the sort key ``_key``,
+    the all-int identity key ``_id`` led by the family rank, and its hash,
+    all stored by ``_freeze`` at the end of each constructor."""
+
+    __slots__ = ("_key", "_id", "_hash")
+    _fields: tuple[str, ...]  # constructor arguments, for repr and pickling
+
+    def _freeze(self, key: tuple, ident: tuple) -> None:
+        _set(self, "_key", key)
+        _set(self, "_id", ident)
+        _set(self, "_hash", hash(ident))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: labels are immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r}: labels are immutable")
+
+    def __eq__(self, other):
+        return self is other or (other.__class__ is self.__class__ and other._id == self._id)
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f) for f in self._fields)
+
+    def __repr__(self):
+        args = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__name__}({args})"
+
+
+class Vac(_Label):
     """Spectral flow ``V[ell]`` of the vacuum module (simple)."""
 
-    ell: int
+    __slots__ = ("ell",)
+    _fields = __slots__
 
-    def __post_init__(self):
-        if not isinstance(self.ell, int):
-            raise TypeError(f"flow index must be an int, got {self.ell!r}")
+    def __init__(self, ell: int):
+        if not isinstance(ell, int):
+            raise TypeError(f"flow index must be an int, got {ell!r}")
+        _set(self, "ell", ell)
+        key = (0, ell)
+        self._freeze(key, key)
 
     def __str__(self):
         return f"V[{self.ell}]"
 
 
-@dataclass(frozen=True)
-class Typ:
+class Typ(_Label):
     """Flow ``W[coset, ell]`` of a relaxed module; the coset is never zero."""
 
-    coset: Fraction
-    ell: int
+    __slots__ = ("coset", "ell")
+    _fields = __slots__
 
-    def __post_init__(self):
-        c = Fraction(self.coset) % 1
-        if c == 0:
-            raise ValueError("relaxed modules W require a nonzero ghost coset")
-        object.__setattr__(self, "coset", c)
-        if not isinstance(self.ell, int):
-            raise TypeError(f"flow index must be an int, got {self.ell!r}")
+    def __init__(self, coset: Fraction, ell: int):
+        c = coset
+        # a Fraction strictly between 0 and 1 is already reduced mod 1
+        if not (type(c) is Fraction and 0 < c.numerator < c.denominator):
+            c = Fraction(c) % 1
+            if c == 0:
+                raise ValueError("relaxed modules W require a nonzero ghost coset")
+        if not isinstance(ell, int):
+            raise TypeError(f"flow index must be an int, got {ell!r}")
+        _set(self, "coset", c)
+        _set(self, "ell", ell)
+        self._freeze((1, c, ell), (1, c.numerator, c.denominator, ell))
 
     def __str__(self):
         return f"W[{coset_str(self.coset)},{self.ell}]"
 
 
-@dataclass(frozen=True)
-class BStr:
+class _String(_Label):
+    """A string module of length ``n >= 2`` with base factor ``V[m]``."""
+
+    __slots__ = ("n", "m")
+    _fields = __slots__
+    _rank: int
+    _letter: str
+
+    def __init__(self, n: int, m: int):
+        if not isinstance(n, int) or not isinstance(m, int):
+            raise TypeError("string parameters must be ints")
+        if n < 2:
+            name = type(self).__name__
+            raise ValueError(f"{name} requires n >= 2; use {name.lower()}() to resolve aliases")
+        _set(self, "n", n)
+        _set(self, "m", m)
+        key = (self._rank, n, m)
+        self._freeze(key, key)
+
+    def __str__(self):
+        return f"{self._letter}[{self.n},{self.m}]"
+
+
+class BStr(_String):
     """Bottom-anchored string ``B[n,m]`` of length ``n >= 2``."""
 
-    n: int
-    m: int
-
-    def __post_init__(self):
-        if not isinstance(self.n, int) or not isinstance(self.m, int):
-            raise TypeError("string parameters must be ints")
-        if self.n < 2:
-            raise ValueError("BStr requires n >= 2; use bstr() to resolve aliases")
-
-    def __str__(self):
-        return f"B[{self.n},{self.m}]"
+    __slots__ = ()
+    _rank = 2
+    _letter = "B"
 
 
-@dataclass(frozen=True)
-class TStr:
+class TStr(_String):
     """Top-anchored string ``T[n,m]`` of length ``n >= 2``."""
 
-    n: int
-    m: int
-
-    def __post_init__(self):
-        if not isinstance(self.n, int) or not isinstance(self.m, int):
-            raise TypeError("string parameters must be ints")
-        if self.n < 2:
-            raise ValueError("TStr requires n >= 2; use tstr() to resolve aliases")
-
-    def __str__(self):
-        return f"T[{self.n},{self.m}]"
+    __slots__ = ()
+    _rank = 3
+    _letter = "T"
 
 
-@dataclass(frozen=True)
-class Proj:
+class Proj(_Label):
     """The staggered projective/injective ``P[m]`` covering ``V[m]``."""
 
-    m: int
+    __slots__ = ("m",)
+    _fields = __slots__
 
-    def __post_init__(self):
-        if not isinstance(self.m, int):
-            raise TypeError(f"flow index must be an int, got {self.m!r}")
+    def __init__(self, m: int):
+        if not isinstance(m, int):
+            raise TypeError(f"flow index must be an int, got {m!r}")
+        _set(self, "m", m)
+        key = (4, m)
+        self._freeze(key, key)
 
     def __str__(self):
         return f"P[{self.m}]"
@@ -116,27 +174,8 @@ class Proj:
 
 Module = Union[Vac, Typ, BStr, TStr, Proj]
 
-_VARIANT_RANK = {Vac: 0, Typ: 1, BStr: 2, TStr: 3, Proj: 4}
-
-
-def _install_cached_hash(cls):
-    # Fraction hashing is costly; labels are hashed constantly in fusion
-    # sweeps, so compute each instance's hash once.
-    fields = tuple(cls.__dataclass_fields__)
-    rank = _VARIANT_RANK[cls]
-
-    def __hash__(self):
-        h = self.__dict__.get("_h")
-        if h is None:
-            h = hash((rank,) + tuple(getattr(self, f) for f in fields))
-            object.__setattr__(self, "_h", h)
-        return h
-
-    cls.__hash__ = __hash__
-
-
-for _cls in (Vac, Typ, BStr, TStr, Proj):
-    _install_cached_hash(_cls)
+_KEY = attrgetter("_key")
+_FIRST = itemgetter(0)
 
 
 def vac(ell: int = 0) -> Vac:
@@ -182,17 +221,11 @@ def w_zero_plus(ell: int = 0) -> Module:
     return TStr(2, ell - 1)
 
 
-def sort_key(mod: Module):
-    if isinstance(mod, Vac):
-        return (0, mod.ell)
-    if isinstance(mod, Typ):
-        return (1, mod.coset, mod.ell)
-    if isinstance(mod, BStr):
-        return (2, mod.n, mod.m)
-    if isinstance(mod, TStr):
-        return (3, mod.n, mod.m)
-    if isinstance(mod, Proj):
-        return (4, mod.m)
+def sort_key(mod: Module) -> tuple:
+    """The canonical order of labels: by family, then by their fields, with
+    relaxed labels ordered by coset value."""
+    if isinstance(mod, _Label):
+        return mod._key
     raise TypeError(f"not a canonical module: {mod!r}")
 
 
@@ -220,7 +253,9 @@ class FormalSum:
     __slots__ = ("_terms", "_hash")
 
     def __init__(self, terms: Iterable[tuple[Module, int]] = ()):
-        combined: dict[Module, int] = {}
+        # Terms are merged on the identity key, whose hash and equality run
+        # in C, and sorted on the stored sort key.
+        combined: dict[tuple, list] = {}
         for mod, mult in terms:
             if not isinstance(mult, int):
                 raise TypeError(f"multiplicity must be an int, got {mult!r}")
@@ -228,12 +263,30 @@ class FormalSum:
                 raise ValueError(f"negative multiplicity {mult} for {mod}")
             if mult == 0:
                 continue
-            combined[mod] = combined.get(mod, 0) + mult
-        self._terms = tuple(sorted(combined.items(), key=lambda t: sort_key(t[0])))
-        self._hash = hash(self._terms)
+            if not isinstance(mod, _Label):
+                raise TypeError(f"not a canonical module: {mod!r}")
+            entry = combined.get(mod._id)
+            if entry is None:
+                combined[mod._id] = [mod._key, mod, mult]
+            else:
+                entry[2] += mult
+        ordered = sorted(combined.values(), key=_FIRST)
+        self._terms = tuple([(mod, mult) for _, mod, mult in ordered])
+        self._hash = None
+
+    @classmethod
+    def _from_sorted(cls, terms: tuple[tuple[Module, int], ...]) -> "FormalSum":
+        """Wrap a term tuple that is already canonical: distinct labels in
+        ``_key`` order, positive int multiplicities.  Nothing is checked."""
+        self = object.__new__(cls)
+        self._terms = terms
+        self._hash = None
+        return self
 
     @classmethod
     def of(cls, mod: Module, mult: int = 1) -> "FormalSum":
+        if isinstance(mod, _Label) and mult.__class__ is int and mult > 0:
+            return cls._from_sorted(((mod, mult),))
         return cls(((mod, mult),))
 
     @property
@@ -289,6 +342,9 @@ class FormalSum:
         return isinstance(other, FormalSum) and self._terms == other._terms
 
     def __hash__(self) -> int:
+        # most sums are never hashed, so the hash is taken on first use
+        if self._hash is None:
+            self._hash = hash(self._terms)
         return self._hash
 
     def __str__(self) -> str:
@@ -329,7 +385,7 @@ def composition_factors(x) -> dict[Module, int]:
             bump(Vac(mod.m + 1), mult)
         else:
             raise TypeError(f"not a canonical module: {mod!r}")
-    return {m: k for m, k in sorted(out.items(), key=lambda t: sort_key(t[0]))}
+    return {mod: out[mod] for mod in sorted(out, key=_KEY)}
 
 
 def length(x) -> int:

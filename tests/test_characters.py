@@ -5,8 +5,8 @@ import pytest
 
 from ghostkit import characters
 from ghostkit.characters import (
-    MAX_TABLE_WEIGHT, TruncationError, _enumerate_free_monomials, char_dual, char_flow,
-    character, free_monomial_counts, pbw_character_oracle,
+    MAX_TABLE_WEIGHT, MAX_WINDOW_WIDTH, TruncationError, _enumerate_free_monomials,
+    char_dual, char_flow, character, free_monomial_counts, pbw_character_oracle,
 )
 from ghostkit.functors import dual_restricted, flow
 from ghostkit.modules import bstr, proj, sequence_catalog, tstr, typ, vac
@@ -191,6 +191,13 @@ def test_coeff_access_guards():
         ch.coeff(5, 0)
     with pytest.raises(TruncationError):
         ch.coeff(0, 100)
+
+
+def test_window_width_limit():
+    half = MAX_WINDOW_WIDTH // 2
+    assert len(character(vac(0), 0, (-half, half)).columns()) == 2 * half + 1
+    with pytest.raises(ValueError, match="above the limit"):
+        character(vac(0), 0, (-half, half + Fraction(1, 2)))
 
 
 def test_per_column_finiteness_and_lower_bounds():

@@ -258,3 +258,20 @@ def test_bad_config_exit_code(tmp_path, capsys):
     code, _, err = run(capsys, "--config", str(cfg), "hom", "V[0]", "V[0]")
     assert code == 1
     assert "config error" in err
+
+
+@pytest.mark.parametrize("flags, cfg_text", [
+    (["--jwindow=-1e9:1e9"], ""),
+    ([], "jwindow = -1e9:1e9\n"),
+])
+def test_char_window_above_width_limit(tmp_path, capsys, monkeypatch, flags, cfg_text):
+    def no_columns(*args):
+        raise AssertionError("a character column was built")
+
+    monkeypatch.setattr(characters, "_simple_character", no_columns)
+    cfg = tmp_path / "ghostkit.cfg"
+    cfg.write_text(cfg_text)
+    code, out, err = run(capsys, "--config", str(cfg), "char", "V[0]", "--hmax", "0", *flags)
+    assert code == 1
+    assert out == ""
+    assert "2000000000 wide" in err and f"limit {characters.MAX_WINDOW_WIDTH}" in err

@@ -1,13 +1,16 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
 
+from ghostkit import fusion
 from ghostkit.functors import dual_star, dual_tensor, flow
 from ghostkit.fusion import (
     GuardExtensionError, expand_projsum, fuse, fuse_detailed, groth_class,
     groth_product, unit_class,
 )
 from ghostkit.modules import FormalSum, bstr, proj, tstr, typ, vac
+from ghostkit.verify import pool_modules
 
 THIRD = Fraction(1, 3)
 HALF = Fraction(1, 2)
@@ -216,3 +219,37 @@ def test_compact_display_side_channel():
     res = fuse_detailed(tstr(2, 1), bstr(2, 0))
     assert res.compact == ("S[1,1;1]",)
     assert res.total == FormalSum.of(proj(2))
+
+
+# sha256 over every ordered pair (a, b) of the default pool_modules(), in
+# pool order, of repr((str(a), str(b), str(total), guard_extended,
+# str(projective_part), compact)) for res = fuse_detailed(a, b), computed
+# with the dataclass labels and dict-and-sort FormalSum that preceded the
+# stored-key labels.  Any change to a product, its order of terms, its guard
+# flag or its compact display changes it.
+FUSION_TABLE_SHA256 = "f0bf4e7983b857db89ed245319a4e3fe5480d2f404a1d80b166685028008b39f"
+
+
+def test_full_fusion_table_is_pinned():
+    pool = pool_modules()
+    assert len(pool) == 119
+    h = hashlib.sha256()
+    for a in pool:
+        for b in pool:
+            res = fuse_detailed(a, b)
+            h.update(repr((str(a), str(b), str(res.total), res.guard_extended,
+                           str(res.projective_part), res.compact)).encode())
+    assert h.hexdigest() == FUSION_TABLE_SHA256
+
+
+def test_pair_cache_is_bounded(monkeypatch):
+    pool = pool_modules(3, 2, (THIRD,))
+    pairs = [(a, b) for a in pool for b in pool]
+    expected = [fuse_detailed(a, b) for a, b in pairs]
+    monkeypatch.setattr(fusion, "_PAIR_CACHE", {})
+    monkeypatch.setattr(fusion, "PAIR_CACHE_LIMIT", 7)
+    sizes = []
+    for (a, b), want in zip(pairs, expected):
+        assert fuse_detailed(a, b) == want
+        sizes.append(len(fusion._PAIR_CACHE))
+    assert max(sizes) == 7 and sizes.count(1) > 1  # filled up and emptied

@@ -1,13 +1,16 @@
+import pickle
 from fractions import Fraction
 
 import pytest
 
 from ghostkit.modules import (
-    BOTTOM, TOP, BStr, FormalSum, TStr, Typ, bstr, composition_factors,
+    BOTTOM, TOP, BStr, FormalSum, Proj, TStr, Typ, Vac, bstr, composition_factors,
     head, is_injective, is_projective, length, loewy, proj,
-    sequence_catalog, socle, string_rows, tstr, typ, vac, w_zero_minus,
+    sequence_catalog, socle, sort_key, string_rows, tstr, typ, vac, w_zero_minus,
     w_zero_plus,
 )
+
+LABELS = (vac(-2), typ(Fraction(1, 3), 4), bstr(3, -1), tstr(2, 5), proj(0))
 
 
 def test_alias_resolution():
@@ -33,6 +36,59 @@ def test_invalid_labels_rejected():
 def test_typ_normalizes_coset():
     assert typ(Fraction(-1, 3), 0) == typ(Fraction(2, 3), 0)
     assert typ(Fraction(4, 3), 5).coset == Fraction(1, 3)
+
+
+def test_equal_labels_from_different_routes():
+    a, b = typ(Fraction(-1, 3), 0), typ(Fraction(2, 3), 0)
+    assert a is not b
+    assert a == b and hash(a) == hash(b)
+    assert Typ(Fraction(5, 3), 0) == a and {a: 1}[b] == 1
+    assert bstr(1, 4) == Vac(4) and hash(bstr(1, 4)) == hash(vac(4))
+
+
+def test_labels_of_different_families_differ():
+    assert Vac(2) != Proj(2)
+    assert BStr(2, 0) != TStr(2, 0)
+    assert len({Vac(2), Proj(2), BStr(2, 0), TStr(2, 0)}) == 4
+    assert vac(0) != (0, 0) and vac(0) != "V[0]"
+
+
+def test_labels_are_immutable():
+    fields = (("ell",), ("coset", "ell"), ("n", "m"), ("n", "m"), ("m",))
+    for mod, names in zip(LABELS, fields):
+        for field in names:
+            with pytest.raises(AttributeError):
+                setattr(mod, field, 1)
+        with pytest.raises(AttributeError):
+            mod.extra = 1
+        assert pickle.loads(pickle.dumps(mod)) == mod
+
+
+def test_label_repr_str_and_fields():
+    assert [repr(m) for m in LABELS] == [
+        "Vac(ell=-2)", "Typ(coset=Fraction(1, 3), ell=4)", "BStr(n=3, m=-1)",
+        "TStr(n=2, m=5)", "Proj(m=0)"]
+    assert [str(m) for m in LABELS] == ["V[-2]", "W[1/3,4]", "B[3,-1]", "T[2,5]", "P[0]"]
+    w = LABELS[1]
+    assert (w.coset, w.ell, LABELS[2].n, LABELS[2].m) == (Fraction(1, 3), 4, 3, -1)
+
+
+def test_non_labels_are_rejected():
+    with pytest.raises(TypeError):
+        FormalSum((("V[0]", 1),))
+    with pytest.raises(TypeError):
+        FormalSum.of("V[0]")
+    with pytest.raises(TypeError):
+        sort_key("V[0]")
+    with pytest.raises(ValueError):
+        FormalSum.of(vac(0), -1)
+    assert FormalSum.of(vac(0), 0).is_zero()
+
+
+def test_relaxed_terms_sort_by_coset_value():
+    s = FormalSum(((typ(Fraction(1, 2), 0), 1), (typ(Fraction(1, 3), 0), 1),
+                   (typ(Fraction(2, 7), 0), 1)))
+    assert str(s) == "W[2/7,0] + W[1/3,0] + W[1/2,0]"
 
 
 def test_composition_factors():
