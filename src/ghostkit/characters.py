@@ -45,7 +45,6 @@ from itertools import accumulate
 from operator import add
 
 from .modules import Module, Typ, Vac, composition_factors
-from .weights import flow_weight, weight
 
 
 class TruncationError(ValueError):
@@ -352,7 +351,8 @@ def character(x, hmax=8, jwindow=(-6, 6)) -> CharSeries:
 def char_flow(ch: CharSeries, ell: int, *, require=None) -> CharSeries:
     """Regrade a character by spectral flow, tracking certified bounds.
 
-    Each entry ``(j, h, d)`` moves to ``flow_weight((j, h), ell)``, and the
+    Each entry ``(j, h, d)`` moves to ``flow_weight((j, h), ell)``, computed
+    as ``(j - ell, h + ell*j - ell(ell+1)/2)`` on the stored keys, and the
     certified bound of a target column is the image of the source bound, so
     the result reports exactly which region is determined.  Passing
     ``require = (hmax, (jmin, jmax))`` asserts that the certified image
@@ -364,10 +364,7 @@ def char_flow(ch: CharSeries, ell: int, *, require=None) -> CharSeries:
     for j_src, b in ch.col_hmax.items():
         j_tgt = j_src - ell
         bounds[j_tgt] = b + ell * j_src - half
-    coeffs: dict[tuple[Fraction, Fraction], int] = {}
-    for (j, h), d in ch.coeffs.items():
-        jt, ht = flow_weight(weight(j, h), ell)
-        coeffs[(jt, ht)] = d
+    coeffs = {(j - ell, h + ell * j - half): d for (j, h), d in ch.coeffs.items()}
     out = CharSeries(bounds, coeffs)
     if require is not None:
         want_hmax = Fraction(require[0])

@@ -71,8 +71,10 @@ def _cmd_fuse(args, cfg) -> int:
         "input": [str(a), str(b)],
         "summands": _sum_json(res.total),
         "guard_extended": res.guard_extended,
-        "projective_compact": sorted(res.compact),
     }
+    if args.format == "json":
+        # only JSON shows the compact display; it refuses above its size limit
+        payload["projective_compact"] = sorted(res.compact)
     text = str(res.total)
     if res.guard_extended:
         text += "\nguard-extended: true"

@@ -2,8 +2,10 @@
 
 Spectral flow and conjugation are exact covariant equivalences; the
 restricted dual is exact contravariant.  The star dual is conjugation
-composed with the restricted dual, and the tensor dual is the restricted
-dual followed by one unit of spectral flow.  On labels:
+composed with the restricted dual; on labels it only swaps the letters
+``B`` and ``T``, so the restricted dual is computed as conjugation of the
+star dual.  The tensor dual is the restricted dual followed by one unit of
+spectral flow.  On labels:
 
 * flow shifts every flow index,
 * conjugation sends factor flows ``l -> -1-l`` and keeps Loewy rows,
@@ -63,21 +65,13 @@ def _conjugate_one(mod: Module) -> Module:
     raise TypeError(f"not a canonical module: {mod!r}")
 
 
-def _dual_restricted_one(mod: Module) -> Module:
-    if isinstance(mod, Vac):
-        return Vac(-1 - mod.ell)
-    if isinstance(mod, Typ):
-        return Typ(-mod.coset, -mod.ell)
-    if isinstance(mod, Proj):
-        return Proj(-1 - mod.m)
-    # Rows swap on top of the conjugation flow rule, so the letter flips
-    # exactly when n is odd.
+def _dual_star_one(mod: Module) -> Module:
     if isinstance(mod, BStr):
-        base = -mod.m - mod.n
-        return TStr(mod.n, base) if mod.n % 2 else BStr(mod.n, base)
+        return TStr(mod.n, mod.m)
     if isinstance(mod, TStr):
-        base = -mod.m - mod.n
-        return BStr(mod.n, base) if mod.n % 2 else TStr(mod.n, base)
+        return BStr(mod.n, mod.m)
+    if isinstance(mod, (Vac, Typ, Proj)):
+        return mod
     raise TypeError(f"not a canonical module: {mod!r}")
 
 
@@ -91,13 +85,17 @@ def flow(x, ell: int):
 
 
 conjugate = _lift(_conjugate_one)
-dual_restricted = _lift(_dual_restricted_one)
+# conjugation is an involution, so the restricted dual is conjugation
+# composed with the star dual
+dual_restricted = _lift(lambda mod: _conjugate_one(_dual_star_one(mod)))
 
 
 def dual_star(x):
     """Conjugation composed with the restricted dual.  Fixes every simple
     and staggered label and swaps ``B[n,m] <-> T[n,m]``."""
-    return conjugate(dual_restricted(x))
+    if isinstance(x, FormalSum):
+        return x.map_modules(_dual_star_one)
+    return _dual_star_one(x)
 
 
 def dual_tensor(x):

@@ -19,6 +19,10 @@ formula shape is applied and the result is flagged ``guard_extended``; with
 ``strict_guards`` such products raise :class:`GuardExtensionError` instead.
 Every guard-extended product is still required (and tested) to satisfy the
 Grothendieck ring homomorphism.
+
+Products of label pairs, the base-flow pairs among them, are kept in one
+cache, emptied at ``PAIR_CACHE_LIMIT`` entries.  The projective part and the
+compact ``S[m,n;k]`` display of a :class:`FusionResult` are derived on demand.
 """
 
 from __future__ import annotations
@@ -53,21 +57,12 @@ class ProjSum:
             raise ValueError(f"S[m,n;k] requires m, n >= 1, got m={self.m}, n={self.n}")
 
     def expand(self) -> FormalSum:
-        return _projsum(self.m, self.n, self.k)
+        m, n, k = self.m, self.n, self.k
+        return FormalSum((Proj(k + 2 * r - 1), min(r, m, n, m + n - r))
+                         for r in range(1, m + n))
 
     def __str__(self):
         return f"S[{self.m},{self.n};{self.k}]"
-
-
-def _projsum(m: int, n: int, k: int) -> FormalSum:
-    # Internal form: m or n may be 0, giving the empty sum.
-    if m <= 0 or n <= 0:
-        return FormalSum()
-    terms = []
-    for r in range(1, m + n):
-        mult = min(r, m, n, m + n - r)
-        terms.append((Proj(k + 2 * r - 1), mult))
-    return FormalSum(terms)
 
 
 def expand_projsum(m: int, n: int, k: int) -> FormalSum:
@@ -75,33 +70,39 @@ def expand_projsum(m: int, n: int, k: int) -> FormalSum:
     return ProjSum(int(m), int(n), int(k)).expand()
 
 
+# ``FusionResult.compact`` has one string per sum and unit of multiplicity
+# (10^9 for ``1000000000*B[3,0] x B[3,0]``); above this many it refuses.
+MAX_COMPACT_ENTRIES = 100_000
+
+
 @dataclass(frozen=True)
 class FusionResult:
-    """A fusion decomposition plus display metadata.
-
-    ``total`` is the full expansion.  ``projective_part`` collects the
-    staggered summands, with ``compact`` giving their ``S[m,n;k]`` forms
-    where the string formulas produced them.
+    """A fusion decomposition.  ``total`` is the full expansion; ``sums``
+    pairs the ``S[m,n;k]`` of each product of summands with its multiplicity,
+    from which ``compact`` is built on demand, so :func:`fuse` never pays.
     """
 
     total: FormalSum
     guard_extended: bool
-    projective_part: FormalSum
-    compact: tuple[str, ...]
+    sums: tuple[tuple[tuple[ProjSum, ...], int], ...]
 
+    @property
+    def projective_part(self) -> FormalSum:
+        """The projective summands of ``total``: its ``W`` and ``P`` terms."""
+        # a filtered canonical tuple is still canonical
+        return FormalSum._from_sorted(
+            tuple([(m, k) for m, k in self.total.terms if isinstance(m, (Typ, Proj))]))
 
-def _base(mod: Module) -> tuple[Module, int]:
-    if isinstance(mod, Vac):
-        return Vac(0), mod.ell
-    if isinstance(mod, Typ):
-        return Typ(mod.coset, 0), mod.ell
-    if isinstance(mod, BStr):
-        return BStr(mod.n, 0), mod.m
-    if isinstance(mod, TStr):
-        return TStr(mod.n, 0), mod.m
-    if isinstance(mod, Proj):
-        return Proj(0), mod.m
-    raise TypeError(f"not a canonical module: {mod!r}")
+    @property
+    def compact(self) -> tuple[str, ...]:
+        """The ``S[m,n;k]`` forms of the projective parts the string formulas
+        produced, one per unit of multiplicity."""
+        count = sum(len(sums) * mult for sums, mult in self.sums)
+        if count > MAX_COMPACT_ENTRIES:
+            raise ValueError(
+                f"the compact projective display has {count} entries, above the "
+                f"limit {MAX_COMPACT_ENTRIES}")
+        return tuple([str(s) for sums, mult in self.sums for s in sums for _ in range(mult)])
 
 
 def _string_fuse(a: Module, b: Module) -> tuple[FormalSum, bool, tuple[ProjSum, ...]]:
@@ -158,68 +159,57 @@ def _with_sum(body: FormalSum, s: ProjSum | None, *, guard: bool):
     return body + s.expand(), guard, (s,)
 
 
-_BASE_CACHE: dict[tuple, tuple[FormalSum, bool, tuple[ProjSum, ...]]] = {}
-
-
 def _fuse_base(a: Module, b: Module) -> tuple[FormalSum, bool, tuple[ProjSum, ...]]:
-    """Fusion of two modules at base flow 0."""
-    if a._key > b._key:
-        a, b = b, a
-    key = (a._id, b._id)
-    hit = _BASE_CACHE.get(key)
-    if hit is not None:
-        return hit
-
+    """Fusion of two modules at base flow 0, ``a``'s family rank not above
+    ``b``'s; every formula is symmetric within a family."""
     if isinstance(a, Vac):
-        out = (FormalSum.of(b), False, ())
-    elif isinstance(a, Typ) and isinstance(b, Typ):
+        return FormalSum.of(b), False, ()
+    if isinstance(a, Typ) and isinstance(b, Typ):
         s = (a.coset + b.coset) % 1
         if s == 0:
-            out = (FormalSum.of(Proj(-1)), False, ())
-        else:
-            out = (FormalSum.of(Typ(s, 0)) + FormalSum.of(Typ(s, -1)), False, ())
-    elif isinstance(a, Typ) and isinstance(b, (BStr, TStr)):
-        out = (FormalSum((Typ(a.coset, j), 1) for j in range(b.n)), False, ())
-    elif isinstance(a, Typ) and isinstance(b, Proj):
-        out = (FormalSum(((Typ(a.coset, -1), 1), (Typ(a.coset, 0), 2),
-                          (Typ(a.coset, 1), 1))), False, ())
-    elif isinstance(b, Proj) and isinstance(a, (BStr, TStr)):
-        out = (FormalSum((Proj(j), 1) for j in range(a.n)), False, ())
-    elif isinstance(a, Proj) and isinstance(b, Proj):
-        out = (FormalSum(((Proj(-1), 1), (Proj(0), 2), (Proj(1), 1))), False, ())
-    elif isinstance(a, (BStr, TStr)) and isinstance(b, (BStr, TStr)):
-        out = _string_fuse(a, b)
-    else:  # pragma: no cover - dispatch is exhaustive
-        raise TypeError(f"cannot fuse {a!r} with {b!r}")
-
-    _BASE_CACHE[key] = out
-    return out
+            return FormalSum.of(Proj(-1)), False, ()
+        return FormalSum.of(Typ(s, 0)) + FormalSum.of(Typ(s, -1)), False, ()
+    if isinstance(a, Typ) and isinstance(b, (BStr, TStr)):
+        return FormalSum((Typ(a.coset, j), 1) for j in range(b.n)), False, ()
+    if isinstance(a, Typ) and isinstance(b, Proj):
+        return FormalSum(((Typ(a.coset, -1), 1), (Typ(a.coset, 0), 2),
+                          (Typ(a.coset, 1), 1))), False, ()
+    if isinstance(b, Proj) and isinstance(a, (BStr, TStr)):
+        return FormalSum((Proj(j), 1) for j in range(a.n)), False, ()
+    if isinstance(a, Proj) and isinstance(b, Proj):
+        return FormalSum(((Proj(-1), 1), (Proj(0), 2), (Proj(1), 1))), False, ()
+    if isinstance(a, (BStr, TStr)) and isinstance(b, (BStr, TStr)):
+        return _string_fuse(a, b)
+    raise TypeError(f"cannot fuse {a!r} with {b!r}")  # pragma: no cover
 
 
-# Products of flowed pairs.  Without this cache the associativity sweep
-# takes about twice as long, but it gains an entry for every distinct flowed
-# pair a process fuses, so it is emptied when it reaches this many entries
-# (the default fusion suite leaves about 40,600).
+# Products of label pairs, flowed and at base flow 0.  Without the flowed
+# pairs the associativity sweep takes about twice as long, without the base
+# pairs about 1.2 times.  The cache is emptied at this many entries.
 PAIR_CACHE_LIMIT = 1 << 16
 _PAIR_CACHE: dict[tuple, tuple[FormalSum, bool, tuple[ProjSum, ...]]] = {}
 
 
 def _fuse_modules(a: Module, b: Module) -> tuple[FormalSum, bool, tuple[ProjSum, ...]]:
-    # keyed by identity keys, whose hashing and comparison run in C; the
-    # product does not depend on the order of the factors
+    # keyed by identity keys (hashed and compared in C), which the family
+    # rank leads; the flow index is the last field of every sort key
     ia, ib = a._id, b._id
-    key = (ia, ib) if ia <= ib else (ib, ia)
+    if ia > ib:
+        a, b, ia, ib = b, a, ib, ia
+    key = (ia, ib)
     hit = _PAIR_CACHE.get(key)
     if hit is not None:
         return hit
-    a0, fa = _base(a)
-    b0, fb = _base(b)
-    total, guard, sums = _fuse_base(a0, b0)
-    shift = fa + fb
-    if shift:
-        total = flow(total, shift)
-        sums = tuple(ProjSum(s.m, s.n, s.k + shift) for s in sums)
-    out = (total, guard, sums)
+    fa, fb = a._key[-1], b._key[-1]
+    if fa or fb:
+        total, guard, sums = _fuse_modules(flow(a, -fa), flow(b, -fb))
+        shift = fa + fb
+        if shift:
+            total = flow(total, shift)
+            sums = tuple([ProjSum(s.m, s.n, s.k + shift) for s in sums])
+        out = (total, guard, sums)
+    else:
+        out = _fuse_base(a, b)
     if len(_PAIR_CACHE) >= PAIR_CACHE_LIMIT:
         _PAIR_CACHE.clear()
     _PAIR_CACHE[key] = out
@@ -231,7 +221,7 @@ def fuse_detailed(a, b, *, strict_guards: bool = False) -> FusionResult:
     terms_a, terms_b = as_sum(a).terms, as_sum(b).terms
     collected: list[tuple[Module, int]] = []
     guard_any = False
-    compact: list[str] = []
+    collected_sums: list[tuple[tuple[ProjSum, ...], int]] = []
     for ma, ka in terms_a:
         for mb, kb in terms_b:
             part, guard, sums = _fuse_modules(ma, mb)
@@ -242,13 +232,9 @@ def fuse_detailed(a, b, *, strict_guards: bool = False) -> FusionResult:
                         f"fusion {ma} x {mb} falls outside the stated length guard")
             mult = ka * kb
             collected.extend(part.terms if mult == 1 else [(m, mult * k) for m, k in part.terms])
-            for s in sums:
-                compact.extend([str(s)] * mult)
-    total = FormalSum(collected)
-    # a filtered canonical tuple is still canonical
-    projective = FormalSum._from_sorted(
-        tuple([(m, k) for m, k in total.terms if isinstance(m, (Typ, Proj))]))
-    return FusionResult(total, guard_any, projective, tuple(compact))
+            if sums:
+                collected_sums.append((sums, mult))
+    return FusionResult(FormalSum(collected), guard_any, tuple(collected_sums))
 
 
 def fuse(a, b, *, strict_guards: bool = False) -> FormalSum:

@@ -7,7 +7,7 @@
 ``"0"`` parses to the empty sum.  Atoms canonicalize on construction
 (``B[1,3]`` becomes ``V[3]``, relaxed cosets reduce mod 1), so parsing and
 printing round-trip on canonical forms.  Errors carry the offending
-position in the input.
+position in the input; string lengths above ``MAX_STRING_LENGTH`` are refused.
 """
 
 from __future__ import annotations
@@ -15,6 +15,10 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .modules import FormalSum, Module, bstr, proj, tstr, typ, vac
+
+# The longest string accepted.  Hom and Ext list all segments of a string:
+# at length 1000 ``hom`` takes about 0.3 s and ``ext`` about 2 s.
+MAX_STRING_LENGTH = 1000
 
 
 class ParseError(ValueError):
@@ -91,7 +95,12 @@ def _atom(sc: _Scanner) -> Module:
             ell = sc.integer()
             mod = typ(c, ell)
         else:
+            sc.skip_ws()
+            n_pos = sc.pos
             n = sc.integer()
+            if n > MAX_STRING_LENGTH:
+                raise ParseError(
+                    f"string length {n} is above the limit {MAX_STRING_LENGTH}", n_pos)
             sc.expect(",")
             m = sc.integer()
             mod = bstr(n, m) if letter == "B" else tstr(n, m)

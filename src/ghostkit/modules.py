@@ -406,9 +406,6 @@ class LoewyWord:
     entries: tuple[tuple[int, str], ...]
     diamond: bool = False
 
-    def row(self, which: str) -> tuple[int, ...]:
-        return tuple(f for f, r in self.entries if r == which)
-
 
 def string_rows(mod: Module) -> tuple[tuple[int, str], ...]:
     """The ``(flow, row)`` chain for a simple or string module."""

@@ -10,6 +10,7 @@ from ghostkit.characters import (
 )
 from ghostkit.functors import dual_restricted, flow
 from ghostkit.modules import bstr, proj, sequence_catalog, tstr, typ, vac
+from ghostkit.weights import flow_weight, weight
 
 THIRD = Fraction(1, 3)
 WINDOW = (-6, 6)
@@ -135,6 +136,14 @@ def test_integer_grids_at_fractional_edges(base, ell, hmax):
     assert moved.agrees_with(direct)
     if ell == 0:
         assert pbw_character_oracle(base, hmax, EDGE_WINDOW) == direct
+
+
+def test_char_flow_moves_entries_by_flow_weight():
+    src = character(typ(THIRD, 0), 6, WINDOW)
+    for ell in (-3, -1, 2):
+        moved = char_flow(src, ell)
+        assert moved.coeffs == {flow_weight(weight(j, h), ell): d
+                                for (j, h), d in src.coeffs.items()}
 
 
 def test_char_flow_identity():

@@ -4,7 +4,7 @@ from importlib import resources
 import jsonschema
 import pytest
 
-from ghostkit import characters
+from ghostkit import characters, fusion, grammar
 from ghostkit.cli import main
 
 
@@ -275,3 +275,32 @@ def test_char_window_above_width_limit(tmp_path, capsys, monkeypatch, flags, cfg
     assert code == 1
     assert out == ""
     assert "2000000000 wide" in err and f"limit {characters.MAX_WINDOW_WIDTH}" in err
+
+
+def test_fuse_text_with_huge_multiplicity(capsys):
+    code, out, _ = run(capsys, "fuse", "1000000000*B[3,0]", "B[3,0]")
+    assert code == 0
+    assert out.strip() == "1000000000*B[5,0] + 1000000000*P[2]"
+
+
+def test_fuse_json_compact_above_limit(capsys, monkeypatch):
+    def no_display(self):
+        raise AssertionError("a compact display entry was built")
+
+    monkeypatch.setattr(fusion.ProjSum, "__str__", no_display)
+    code, out, err = run(capsys, "--format", "json", "fuse", "10000000*B[3,0]", "B[3,0]")
+    assert code == 1
+    assert out == ""
+    assert f"10000000 entries, above the limit {fusion.MAX_COMPACT_ENTRIES}" in err
+
+
+@pytest.mark.parametrize("command", ["hom", "ext", "fuse"])
+def test_string_length_above_limit(capsys, monkeypatch, command):
+    def no_label(*args):
+        raise AssertionError("a string label was built")
+
+    monkeypatch.setattr(grammar, "bstr", no_label)
+    code, out, err = run(capsys, command, "B[4000,0]", "B[4000,0]")
+    assert code == 1
+    assert out == ""
+    assert f"string length 4000 is above the limit {grammar.MAX_STRING_LENGTH}" in err

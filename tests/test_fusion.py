@@ -6,8 +6,8 @@ import pytest
 from ghostkit import fusion
 from ghostkit.functors import dual_star, dual_tensor, flow
 from ghostkit.fusion import (
-    GuardExtensionError, expand_projsum, fuse, fuse_detailed, groth_class,
-    groth_product, unit_class,
+    MAX_COMPACT_ENTRIES, GuardExtensionError, expand_projsum, fuse, fuse_detailed,
+    groth_class, groth_product, unit_class,
 )
 from ghostkit.modules import FormalSum, bstr, proj, tstr, typ, vac
 from ghostkit.verify import pool_modules
@@ -253,3 +253,31 @@ def test_pair_cache_is_bounded(monkeypatch):
         assert fuse_detailed(a, b) == want
         sizes.append(len(fusion._PAIR_CACHE))
     assert max(sizes) == 7 and sizes.count(1) > 1  # filled up and emptied
+
+
+def test_every_fusion_cache_is_bounded(monkeypatch):
+    # distinct cosets at nonzero flow: distinct flowed pairs and distinct
+    # pairs at base flow 0
+    pairs = [(typ(Fraction(1, k + 2), k), typ(Fraction(1, k + 3), -1))
+             for k in range(1, 38)]
+    expected = [fuse(a, b) for a, b in pairs]
+    caches = [name for name, value in vars(fusion).items()
+              if name.endswith("_CACHE") and isinstance(value, dict)]
+    assert "_PAIR_CACHE" in caches
+    for name in caches:
+        monkeypatch.setattr(fusion, name, {})
+    monkeypatch.setattr(fusion, "PAIR_CACHE_LIMIT", 7)
+    for (a, b), want in zip(pairs, expected):
+        assert fuse(a, b) == want
+        assert max(len(getattr(fusion, name)) for name in caches) <= 7
+
+
+def test_compact_display_is_capped():
+    res = fuse_detailed(FormalSum.of(bstr(3, 0), MAX_COMPACT_ENTRIES), bstr(3, 0))
+    assert res.compact == ("S[1,1;1]",) * MAX_COMPACT_ENTRIES
+    res = fuse_detailed(FormalSum.of(bstr(3, 0), 10**9), bstr(3, 0))
+    assert res.total == FormalSum(((bstr(5, 0), 10**9), (proj(2), 10**9)))
+    assert res.projective_part == FormalSum.of(proj(2), 10**9)
+    limit = f"1000000000 entries, above the limit {MAX_COMPACT_ENTRIES}"
+    with pytest.raises(ValueError, match=limit):
+        res.compact

@@ -3,7 +3,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from ghostkit.grammar import ParseError, parse_module_expr, parse_single_module
+from ghostkit.grammar import (
+    MAX_STRING_LENGTH, ParseError, parse_module_expr, parse_single_module,
+)
 from ghostkit.modules import FormalSum, bstr, proj, tstr, typ, vac
 
 cosets = st.fractions(min_value=0, max_value=1, max_denominator=12).filter(
@@ -62,6 +64,16 @@ def test_validation_errors():
         parse_module_expr("B[0,2]")
     with pytest.raises(ParseError):
         parse_module_expr("B[-3,2]")
+
+
+def test_string_length_limit():
+    n = MAX_STRING_LENGTH
+    assert parse_module_expr(f"B[{n},0] + T[{n},-3]") == FormalSum(
+        ((bstr(n, 0), 1), (tstr(n, -3), 1)))
+    for text, position in ((f"V[0] + B[{n + 1},0]", 9), (f"V[0] + T[ {10**12},0]", 10)):
+        with pytest.raises(ParseError, match=f"above the limit {n}") as err:
+            parse_module_expr(text)
+        assert err.value.position == position
 
 
 def test_parse_errors_carry_positions():
