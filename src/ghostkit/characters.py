@@ -38,6 +38,7 @@ comparisons in tests intersect certified regions.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
@@ -286,21 +287,23 @@ def _columns_in_window(mod: Module, jmin: Fraction, jmax: Fraction):
     return out
 
 
-def _simple_character(base: Module, ell: int, hmax: Fraction,
-                      jmin: Fraction, jmax: Fraction):
-    """Character columns of ``flow(base, ell)`` for untwisted simple ``base``.
+# where the columns of a flowed simple lie, and the table weight they need
+_Layout = namedtuple("_Layout", "vacuum ell sector cols off0 bmax weight")
 
-    A state of weight ``(j', h')`` in the untwisted module appears at
+
+def _layout(simple: Module, hmax: Fraction, jmin: Fraction, jmax: Fraction) -> _Layout:
+    """Where the columns of ``simple = flow(base, ell)`` lie, ``base`` at flow 0.
+
+    A state of weight ``(j', h')`` in ``base`` appears at
     ``(j' - ell, h' + ell*j' - ell(ell+1)/2)`` after flowing, so the target
     column ``j`` is fed by source column ``j + ell`` with the conformal
-    weight shifted by a per-column offset.
-
-    Every weight of ``flow(base, ell)`` has the same fractional parts
-    ``(jf, hf)``, its sector: ``0`` for the vacuum, ``(c, ell*c mod 1)`` for
-    the relaxed module of coset ``c``.  Returns the sector, the range of
-    column indices ``a`` inside the window and the nonzero entries keyed by
-    integer ``(a, b)``, which stands for the weight ``(jf + a, hf + b)``.
+    weight shifted by a per-column offset.  All weights of ``simple`` share
+    their fractional parts ``(jf, hf)``, its sector: ``0`` for the vacuum,
+    ``(c, ell*c mod 1)`` for the relaxed module of coset ``c``; the integer
+    key ``(a, b)`` stands for the weight ``(jf + a, hf + b)``.
     """
+    ell = simple.flow
+    base = simple.flowed(-ell)
     vacuum = isinstance(base, Vac)
     if vacuum:
         jf = hf = Fraction(0)
@@ -313,7 +316,13 @@ def _simple_character(base: Module, ell: int, hmax: Fraction,
     bmax = math.floor(hmax - hf)
     ends = (cols[0], cols[-1]) if cols else ()
     needed = max((bmax - off0 - ell * a for a in ends), default=0)
-    free = free_monomial_counts(max(needed, 0))
+    return _Layout(vacuum, ell, (jf, hf), cols, off0, bmax, max(needed, 0))
+
+
+def _simple_character(layout: _Layout, free: MonomialCounts) -> dict[tuple[int, int], int]:
+    """The nonzero integer-grid entries of the simple laid out by
+    :func:`_layout`, read from a table of at least the weight it needs."""
+    vacuum, ell, _, cols, off0, bmax, _ = layout
     coeffs: dict[tuple[int, int], int] = {}
     for a in cols:
         off = off0 + ell * a
@@ -322,20 +331,22 @@ def _simple_character(base: Module, ell: int, hmax: Fraction,
             d = free.at_least(src, hp) if vacuum else free.total(hp)
             if d:
                 coeffs[(a, hp + off)] = d
-    return (jf, hf), cols, coeffs
+    return coeffs
 
 
 def character(x, hmax=8, jwindow=(-6, 6)) -> CharSeries:
     """Character of a module or formal sum on the requested truncation."""
     jmin, jmax = _parse_window(jwindow)
     hmax = Fraction(hmax)
+    layouts = [(_layout(simple, hmax, jmin, jmax), k)
+               for simple, k in composition_factors(x).items()]
+    # one table for every factor, so its weight limit is checked before any build
+    free = free_monomial_counts(max((layout.weight for layout, _ in layouts), default=0))
     # sector -> (column indices, integer-grid entries)
     sectors: dict[tuple[Fraction, Fraction], tuple[range, dict]] = {}
-    for simple, k in composition_factors(x).items():
-        base = Vac(0) if isinstance(simple, Vac) else Typ(simple.coset, 0)
-        sector, cols, coeffs = _simple_character(base, simple.ell, hmax, jmin, jmax)
-        grid = sectors.setdefault(sector, (cols, {}))[1]
-        for key, d in coeffs.items():
+    for layout, k in layouts:
+        grid = sectors.setdefault(layout.sector, (layout.cols, {}))[1]
+        for key, d in _simple_character(layout, free).items():
             grid[key] = grid.get(key, 0) + k * d
     bounds: dict[Fraction, Fraction] = {}
     total: dict[tuple[Fraction, Fraction], int] = {}

@@ -2,13 +2,15 @@
 
 Exit codes: 0 success, 1 domain or validation error, 2 verification failure.
 All output is deterministic; ``--format json`` emits one JSON document on
-stdout (exact rationals serialized as strings).
+stdout (exact rationals serialized as strings).  A reader that closes stdout
+early (``ghostkit catalog | head``) ends the command quietly with code 1.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import replace
 
@@ -16,7 +18,7 @@ from . import characters, config, homalg, rigidity, verify
 from .functors import conjugate, dual_restricted, dual_star, dual_tensor, flow
 from .fusion import GuardExtensionError, fuse_detailed
 from .grammar import ParseError, parse_module_expr, parse_single_module
-from .modules import TOP, FormalSum, loewy, sequence_catalog, string_rows
+from .modules import TOP, FormalSum, loewy, sequence_catalog
 
 
 def _sum_json(s: FormalSum):
@@ -119,10 +121,7 @@ def _cmd_loewy(args, cfg) -> int:
         "diamond": word.diamond,
         "entries": [{"flow": f, "row": r} for f, r in word.entries],
     }
-    if word.diamond:
-        text = _render_diamond(mod.m)
-    else:
-        text = _render_chain(list(string_rows(mod)))
+    text = _render_diamond(mod.m) if word.diamond else _render_chain(word.entries)
     _emit(args, payload, text)
     return 0
 
@@ -312,6 +311,10 @@ def main(argv=None) -> int:
     }
     try:
         return dispatch[args.command]()
+    except BrokenPipeError:
+        # the reader is gone; send the rest of stdout, flushed at exit, nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (ParseError, GuardExtensionError, ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

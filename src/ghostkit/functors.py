@@ -12,90 +12,45 @@ spectral flow.  On labels:
 * the restricted dual sends ``l -> -1-l`` and swaps rows (contravariance
   reverses arrows).
 
-The closed forms below are the unique re-canonicalizations of these factor
-rules; tests cross-check them against the word transformation for all
-string lengths up to 8.
+The closed forms, the unique re-canonicalizations of these factor rules,
+are the label methods ``flowed``, ``conjugated`` and ``starred``; the
+functors here lift them to formal sums.  Tests cross-check them against the
+word transformation for all string lengths up to 8.
 """
 
 from __future__ import annotations
 
+from operator import methodcaller
+
 from .modules import (
-    BStr, FormalSum, Module, Proj, TStr, Typ, Vac, as_sum, bstr, tstr,
+    BOTTOM, TOP, ExactSequence, FormalSum, Module, Vac, as_sum, bstr, string_rows, tstr,
 )
 
 
 def _lift(fn):
-    def apply(x, *args):
-        if isinstance(x, FormalSum):
-            return x.map_modules(lambda m: fn(m, *args))
-        return fn(x, *args)
+    def apply(x):
+        return x.map_modules(fn) if isinstance(x, FormalSum) else fn(x)
 
     return apply
 
 
-def _flow_one(mod: Module, ell: int) -> Module:
-    if isinstance(mod, Vac):
-        return Vac(mod.ell + ell)
-    if isinstance(mod, Typ):
-        return Typ(mod.coset, mod.ell + ell)
-    if isinstance(mod, BStr):
-        return BStr(mod.n, mod.m + ell)
-    if isinstance(mod, TStr):
-        return TStr(mod.n, mod.m + ell)
-    if isinstance(mod, Proj):
-        return Proj(mod.m + ell)
-    raise TypeError(f"not a canonical module: {mod!r}")
-
-
-def _conjugate_one(mod: Module) -> Module:
-    if isinstance(mod, Vac):
-        return Vac(-1 - mod.ell)
-    if isinstance(mod, Typ):
-        return Typ(-mod.coset, -mod.ell)
-    if isinstance(mod, Proj):
-        return Proj(-1 - mod.m)
-    # Strings: factors at flows m..m+n-1 move to -m-n..-1-m keeping rows,
-    # so the letter flips exactly when n is even.
-    if isinstance(mod, BStr):
-        base = -mod.m - mod.n
-        return BStr(mod.n, base) if mod.n % 2 else TStr(mod.n, base)
-    if isinstance(mod, TStr):
-        base = -mod.m - mod.n
-        return TStr(mod.n, base) if mod.n % 2 else BStr(mod.n, base)
-    raise TypeError(f"not a canonical module: {mod!r}")
-
-
-def _dual_star_one(mod: Module) -> Module:
-    if isinstance(mod, BStr):
-        return TStr(mod.n, mod.m)
-    if isinstance(mod, TStr):
-        return BStr(mod.n, mod.m)
-    if isinstance(mod, (Vac, Typ, Proj)):
-        return mod
-    raise TypeError(f"not a canonical module: {mod!r}")
-
-
 def flow(x, ell: int):
-    """Spectral flow by ``ell``.  Flowing every term of a sum by the same
-    amount keeps the terms distinct and in canonical order, so the flowed
-    sum is built without re-sorting."""
-    if isinstance(x, FormalSum):
-        return FormalSum._from_sorted(tuple([(_flow_one(m, ell), k) for m, k in x.terms]))
-    return _flow_one(x, ell)
+    """Spectral flow by ``ell`` of a label or a sum."""
+    return x.flowed(ell)
 
 
-conjugate = _lift(_conjugate_one)
+conjugate = _lift(methodcaller("conjugated"))
 # conjugation is an involution, so the restricted dual is conjugation
 # composed with the star dual
-dual_restricted = _lift(lambda mod: _conjugate_one(_dual_star_one(mod)))
+dual_restricted = _lift(lambda mod: mod.starred().conjugated())
 
 
 def dual_star(x):
     """Conjugation composed with the restricted dual.  Fixes every simple
     and staggered label and swaps ``B[n,m] <-> T[n,m]``."""
     if isinstance(x, FormalSum):
-        return x.map_modules(_dual_star_one)
-    return _dual_star_one(x)
+        return x.map_modules(methodcaller("starred"))
+    return x.starred()
 
 
 def dual_tensor(x):
@@ -110,8 +65,6 @@ def transform_word(mod: Module, *, flip_flows: bool, swap_rows: bool) -> Module:
     (``flip_flows`` only) and :func:`dual_restricted` (both flags); it exists
     so tests can check the closed forms against first principles.
     """
-    from .modules import BOTTOM, TOP, string_rows
-
     word = list(string_rows(mod))
     if flip_flows:
         word = [(-1 - f, r) for f, r in word]
@@ -130,8 +83,6 @@ def transform_word(mod: Module, *, flip_flows: bool, swap_rows: bool) -> Module:
 def sequence_image(functor, seq, *, contravariant: bool = False):
     """Image of an exact sequence under an exact functor; contravariant
     functors swap the sub and quotient terms."""
-    from .modules import ExactSequence
-
     sub, mid, quot = functor(seq.sub), functor(seq.middle), functor(seq.quotient)
     if contravariant:
         sub, quot = quot, sub

@@ -31,9 +31,8 @@ from dataclasses import dataclass
 
 from .modules import (
     _KEY, BStr, FormalSum, Module, Proj, TStr, Typ, Vac, as_sum, bstr,
-    composition_factors, tstr,
+    composition_factors, is_projective, is_simple, tstr,
 )
-from .functors import flow
 
 
 class GuardExtensionError(ValueError):
@@ -91,7 +90,7 @@ class FusionResult:
         """The projective summands of ``total``: its ``W`` and ``P`` terms."""
         # a filtered canonical tuple is still canonical
         return FormalSum._from_sorted(
-            tuple([(m, k) for m, k in self.total.terms if isinstance(m, (Typ, Proj))]))
+            tuple([(m, k) for m, k in self.total.terms if is_projective(m)]))
 
     @property
     def compact(self) -> tuple[str, ...]:
@@ -192,7 +191,7 @@ _PAIR_CACHE: dict[tuple, tuple[FormalSum, bool, tuple[ProjSum, ...]]] = {}
 
 def _fuse_modules(a: Module, b: Module) -> tuple[FormalSum, bool, tuple[ProjSum, ...]]:
     # keyed by identity keys (hashed and compared in C), which the family
-    # rank leads; the flow index is the last field of every sort key
+    # rank leads
     ia, ib = a._id, b._id
     if ia > ib:
         a, b, ia, ib = b, a, ib, ia
@@ -200,12 +199,12 @@ def _fuse_modules(a: Module, b: Module) -> tuple[FormalSum, bool, tuple[ProjSum,
     hit = _PAIR_CACHE.get(key)
     if hit is not None:
         return hit
-    fa, fb = a._key[-1], b._key[-1]
+    fa, fb = a.flow, b.flow
     if fa or fb:
-        total, guard, sums = _fuse_modules(flow(a, -fa), flow(b, -fb))
+        total, guard, sums = _fuse_modules(a.flowed(-fa), b.flowed(-fb))
         shift = fa + fb
         if shift:
-            total = flow(total, shift)
+            total = total.flowed(shift)
             sums = tuple([ProjSum(s.m, s.n, s.k + shift) for s in sums])
         out = (total, guard, sums)
     else:
@@ -252,7 +251,7 @@ class GrothClass:
     @classmethod
     def from_dict(cls, d: dict[Module, int]) -> "GrothClass":
         for m, c in d.items():
-            if c and not isinstance(m, (Vac, Typ)):
+            if c and not is_simple(m):
                 raise ValueError(f"Grothendieck classes live on simples, got {m}")
         return cls(tuple([(m, d[m]) for m in sorted(d, key=_KEY) if d[m]]))
 
@@ -263,36 +262,35 @@ class GrothClass:
         return GrothClass.from_dict(d)
 
     def __mul__(self, other: "GrothClass") -> "GrothClass":
+        """The standard-module Verlinde rule (Ridout-Wood, arXiv:1408.4185):
+
+        * ``[V^l] [M] = [M.flowed(l)]``: vacuum flows are units;
+        * ``[W_a^l] [W_b^m] = [W_{a+b}^{l+m}] + [W_{a+b}^{l+m-1}]``, where
+          ``[W_0^k] := [V^k] + [V^{k-1}]`` at the zero coset.
+        """
         d: dict[Module, int] = {}
-
-        def bump(mod, c):
-            d[mod] = d.get(mod, 0) + c
-
         for s1, c1 in self.terms:
             for s2, c2 in other.terms:
-                c = c1 * c2
-                if isinstance(s1, Vac) and isinstance(s2, Vac):
-                    bump(Vac(s1.ell + s2.ell), c)
-                elif isinstance(s1, Vac) and isinstance(s2, Typ):
-                    bump(Typ(s2.coset, s1.ell + s2.ell), c)
-                elif isinstance(s1, Typ) and isinstance(s2, Vac):
-                    bump(Typ(s1.coset, s1.ell + s2.ell), c)
+                if isinstance(s1, Vac):
+                    simples = (s2.flowed(s1.ell),)
+                elif isinstance(s2, Vac):
+                    simples = (s1.flowed(s2.ell),)
                 else:
-                    sco = (s1.coset + s2.coset) % 1
-                    k = s1.ell + s2.ell
-                    if sco == 0:
-                        bump(Vac(k - 2), c)
-                        bump(Vac(k - 1), 2 * c)
-                        bump(Vac(k), c)
-                    else:
-                        bump(Typ(sco, k), c)
-                        bump(Typ(sco, k - 1), c)
+                    c, k = (s1.coset + s2.coset) % 1, s1.ell + s2.ell
+                    simples = _standard(c, k) + _standard(c, k - 1)
+                for mod in simples:
+                    d[mod] = d.get(mod, 0) + c1 * c2
         return GrothClass.from_dict(d)
 
     def __str__(self):
         if not self.terms:
             return "0"
         return " + ".join(f"[{m}]" if c == 1 else f"{c}*[{m}]" for m, c in self.terms)
+
+
+def _standard(c, ell: int) -> tuple[Module, ...]:
+    """The simple factors of the standard module ``W_c^ell``."""
+    return (Typ(c, ell),) if c else (Vac(ell), Vac(ell - 1))
 
 
 def groth_class(x) -> GrothClass:

@@ -14,11 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .modules import FormalSum, Module, bstr, proj, tstr, typ, vac
-
-# The longest string accepted.  Hom and Ext list all segments of a string:
-# at length 1000 ``hom`` takes about 0.3 s and ``ext`` about 2 s.
-MAX_STRING_LENGTH = 1000
+from .modules import MAX_STRING_LENGTH, FormalSum, Module, bstr, proj, tstr, typ, vac
 
 
 class ParseError(ValueError):

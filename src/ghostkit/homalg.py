@@ -32,7 +32,6 @@ from __future__ import annotations
 from .modules import (
     BOTTOM, TOP, BStr, ExactSequence, FormalSum, Module, Proj, TStr, Typ,
     Vac, as_sum, bstr, composition_factors, head, is_projective, socle,
-    string_rows, tstr,
 )
 
 
@@ -81,10 +80,8 @@ def _hom_modules(m: Module, n: Module) -> int:
     if isinstance(n, Typ):
         return src_factors.get(n, 0)
     # Both sides now live in the vacuum sector (simple or string).
-    word_m = string_rows(m)
-    word_n = string_rows(n)
-    quots = _quotient_segments(word_m)
-    subs = _submodule_segments(word_n)
+    quots = _quotient_segments(m.rows())
+    subs = _submodule_segments(n.rows())
     sub_counts: dict = {}
     for lab in subs:
         sub_counts[lab] = sub_counts.get(lab, 0) + 1
@@ -100,26 +97,24 @@ def hom_dim(m, n) -> int:
     return total
 
 
-def projective_cover(x) -> FormalSum:
-    """Minimal projective mapping onto ``x``: the cover of its head."""
-
+def _staggered_over(x, simples) -> FormalSum:
+    # each non-projective summand -> the P[l] over its simples(mod) V[l]
     def one(mod: Module) -> FormalSum:
         if is_projective(mod):
             return FormalSum.of(mod)
-        return head(mod).map_modules(lambda s: Proj(s.ell))
+        return simples(mod).map_modules(lambda s: Proj(s.ell))
 
     return as_sum(x).map_modules(one)
+
+
+def projective_cover(x) -> FormalSum:
+    """Minimal projective mapping onto ``x``: the cover of its head."""
+    return _staggered_over(x, head)
 
 
 def injective_hull(x) -> FormalSum:
     """Minimal injective containing ``x``: the hull of its socle."""
-
-    def one(mod: Module) -> FormalSum:
-        if is_projective(mod):
-            return FormalSum.of(mod)
-        return socle(mod).map_modules(lambda s: Proj(s.ell))
-
-    return as_sum(x).map_modules(one)
+    return _staggered_over(x, socle)
 
 
 def presentation_kernel(mod: Module) -> Module:
@@ -141,20 +136,12 @@ def presentation_kernel(mod: Module) -> Module:
 
 
 def presentation_cokernel(mod: Module) -> Module:
-    """Cokernel of the injective hull embedding ``mod -> I0``."""
+    """Cokernel of the injective hull embedding ``mod -> I0``.  The star dual
+    is exact, contravariant and fixes projectives, so it turns the cover of
+    ``mod.starred()`` into the hull of ``mod``."""
     if is_projective(mod):
         raise ValueError(f"{mod} is injective; its presentation is trivial")
-    if isinstance(mod, Vac):
-        return BStr(3, mod.ell - 1)
-    if isinstance(mod, BStr):
-        if mod.n % 2:
-            return BStr(mod.n + 2, mod.m - 1)
-        return BStr(mod.n, mod.m - 1)
-    if isinstance(mod, TStr):
-        if mod.n % 2:
-            return tstr(mod.n - 2, mod.m + 1)
-        return TStr(mod.n, mod.m + 1)
-    raise TypeError(f"not a canonical module: {mod!r}")
+    return presentation_kernel(mod.starred()).starred()
 
 
 def _ext_modules(m: Module, n: Module) -> int:

@@ -25,6 +25,12 @@ A string ``B[n,m]`` has composition factors ``V[m], ..., V[m+n-1]`` with the
 factor at offset ``k`` in the bottom row iff ``k`` is even; ``T[n,m]`` uses
 the opposite parity.  Arrows of the module action always point from a top
 factor to its adjacent bottom factors.
+
+Each per-family rule is one label method, which the rest of the package
+calls: ``flow`` (the flow index) and ``flowed(ell)``, ``conjugated()``,
+``starred()`` (the ``B <-> T`` swap, else the identity), ``factors()`` (the
+simple composition factors, repeated by multiplicity) and ``rows()`` (the
+``(flow, row)`` Loewy word).  :meth:`FormalSum.flowed` flows a whole sum.
 """
 
 from __future__ import annotations
@@ -46,7 +52,8 @@ _set = object.__setattr__
 class _Label:
     """Behaviour shared by the five label classes: the sort key ``_key``,
     the all-int identity key ``_id`` led by the family rank, and its hash,
-    all stored by ``_freeze`` at the end of each constructor."""
+    all stored by ``_freeze`` at the end of each constructor.  The defaults
+    below are those of a simple module."""
 
     __slots__ = ("_key", "_id", "_hash")
     _fields: tuple[str, ...]  # constructor arguments, for repr and pickling
@@ -75,6 +82,15 @@ class _Label:
         args = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
         return f"{type(self).__name__}({args})"
 
+    def starred(self) -> "Module":
+        return self
+
+    def factors(self) -> tuple["Module", ...]:
+        return (self,)
+
+    def rows(self) -> tuple[tuple[int, str], ...]:
+        return ((self.flow, BOTTOM),)  # single factor; row is conventional
+
 
 class Vac(_Label):
     """Spectral flow ``V[ell]`` of the vacuum module (simple)."""
@@ -88,6 +104,14 @@ class Vac(_Label):
         _set(self, "ell", ell)
         key = (0, ell)
         self._freeze(key, key)
+
+    flow = property(attrgetter("ell"))
+
+    def flowed(self, ell: int) -> "Vac":
+        return Vac(self.ell + ell)
+
+    def conjugated(self) -> "Vac":
+        return Vac(-1 - self.ell)
 
     def __str__(self):
         return f"V[{self.ell}]"
@@ -112,6 +136,14 @@ class Typ(_Label):
         _set(self, "ell", ell)
         self._freeze((1, c, ell), (1, c.numerator, c.denominator, ell))
 
+    flow = property(attrgetter("ell"))
+
+    def flowed(self, ell: int) -> "Typ":
+        return Typ(self.coset, self.ell + ell)
+
+    def conjugated(self) -> "Typ":
+        return Typ(-self.coset, -self.ell)
+
     def __str__(self):
         return f"W[{coset_str(self.coset)},{self.ell}]"
 
@@ -123,6 +155,8 @@ class _String(_Label):
     _fields = __slots__
     _rank: int
     _letter: str
+    _rows: tuple[str, str]  # the rows of the factors at even and odd offsets
+    _swap: type["_String"]  # the other letter
 
     def __init__(self, n: int, m: int):
         if not isinstance(n, int) or not isinstance(m, int):
@@ -135,6 +169,26 @@ class _String(_Label):
         key = (self._rank, n, m)
         self._freeze(key, key)
 
+    flow = property(attrgetter("m"))
+
+    def flowed(self, ell: int) -> "_String":
+        return type(self)(self.n, self.m + ell)
+
+    def conjugated(self) -> "_String":
+        # factors at flows m..m+n-1 move to -m-n..-1-m keeping rows, so the
+        # letter flips exactly when n is even
+        cls = type(self) if self.n % 2 else self._swap
+        return cls(self.n, -self.m - self.n)
+
+    def starred(self) -> "_String":
+        return self._swap(self.n, self.m)
+
+    def factors(self) -> tuple[Vac, ...]:
+        return tuple([Vac(self.m + k) for k in range(self.n)])
+
+    def rows(self) -> tuple[tuple[int, str], ...]:
+        return tuple([(self.m + k, self._rows[k % 2]) for k in range(self.n)])
+
     def __str__(self):
         return f"{self._letter}[{self.n},{self.m}]"
 
@@ -145,6 +199,7 @@ class BStr(_String):
     __slots__ = ()
     _rank = 2
     _letter = "B"
+    _rows = (BOTTOM, TOP)
 
 
 class TStr(_String):
@@ -153,6 +208,10 @@ class TStr(_String):
     __slots__ = ()
     _rank = 3
     _letter = "T"
+    _rows = (TOP, BOTTOM)
+
+
+BStr._swap, TStr._swap = TStr, BStr
 
 
 class Proj(_Label):
@@ -167,6 +226,22 @@ class Proj(_Label):
         _set(self, "m", m)
         key = (4, m)
         self._freeze(key, key)
+
+    flow = property(attrgetter("m"))
+
+    def flowed(self, ell: int) -> "Proj":
+        return Proj(self.m + ell)
+
+    def conjugated(self) -> "Proj":
+        return Proj(-1 - self.m)
+
+    def factors(self) -> tuple[Vac, ...]:
+        return (Vac(self.m - 1), Vac(self.m), Vac(self.m), Vac(self.m + 1))
+
+    def rows(self) -> tuple[tuple[int, str], ...]:
+        """The diamond ``V[m] (top) -> V[m-1], V[m+1] (middle) -> V[m] (bottom)``."""
+        m = self.m
+        return ((m, TOP), (m - 1, MIDDLE), (m + 1, MIDDLE), (m, BOTTOM))
 
     def __str__(self):
         return f"P[{self.m}]"
@@ -309,6 +384,12 @@ class FormalSum:
     def is_zero(self) -> bool:
         return not self._terms
 
+    def flowed(self, ell: int) -> "FormalSum":
+        """Spectral flow by ``ell``.  Flowing every term by the same amount
+        keeps the terms distinct and in canonical order, so nothing is
+        re-sorted."""
+        return FormalSum._from_sorted(tuple([(m.flowed(ell), k) for m, k in self._terms]))
+
     def map_modules(self, fn) -> "FormalSum":
         """Apply ``fn`` (module -> module or FormalSum) term by term."""
         out: list[tuple[Module, int]] = []
@@ -369,22 +450,9 @@ def as_sum(x) -> FormalSum:
 def composition_factors(x) -> dict[Module, int]:
     """Multiset of simple composition factors of a module or formal sum."""
     out: dict[Module, int] = {}
-
-    def bump(mod: Module, k: int):
-        out[mod] = out.get(mod, 0) + k
-
     for mod, mult in as_sum(x):
-        if isinstance(mod, (Vac, Typ)):
-            bump(mod, mult)
-        elif isinstance(mod, (BStr, TStr)):
-            for k in range(mod.n):
-                bump(Vac(mod.m + k), mult)
-        elif isinstance(mod, Proj):
-            bump(Vac(mod.m - 1), mult)
-            bump(Vac(mod.m), 2 * mult)
-            bump(Vac(mod.m + 1), mult)
-        else:
-            raise TypeError(f"not a canonical module: {mod!r}")
+        for simple in mod.factors():
+            out[simple] = out.get(simple, 0) + mult
     return {mod: out[mod] for mod in sorted(out, key=_KEY)}
 
 
@@ -409,52 +477,34 @@ class LoewyWord:
 
 def string_rows(mod: Module) -> tuple[tuple[int, str], ...]:
     """The ``(flow, row)`` chain for a simple or string module."""
-    if isinstance(mod, Vac):
-        return ((mod.ell, BOTTOM),)  # single factor; row is conventional
-    if isinstance(mod, Typ):
-        return ((mod.ell, BOTTOM),)
-    if isinstance(mod, BStr):
-        return tuple((mod.m + k, BOTTOM if k % 2 == 0 else TOP) for k in range(mod.n))
-    if isinstance(mod, TStr):
-        return tuple((mod.m + k, TOP if k % 2 == 0 else BOTTOM) for k in range(mod.n))
-    raise TypeError(f"{mod} has no chain word")
+    if isinstance(mod, Proj):
+        raise TypeError(f"{mod} has no chain word")
+    return mod.rows()
 
 
 def loewy(mod: Module) -> LoewyWord:
     """Loewy word of an indecomposable canonical module."""
-    if isinstance(mod, Proj):
-        m = mod.m
-        entries = ((m, TOP), (m - 1, MIDDLE), (m + 1, MIDDLE), (m, BOTTOM))
-        return LoewyWord(entries, diamond=True)
-    return LoewyWord(string_rows(mod))
+    return LoewyWord(mod.rows(), diamond=isinstance(mod, Proj))
+
+
+def _row_factors(x, row: str) -> FormalSum:
+    # the factors in one Loewy row of each non-simple summand
+    def one(mod: Module) -> FormalSum:
+        if is_simple(mod):
+            return FormalSum.of(mod)
+        return FormalSum((Vac(f), 1) for f, r in mod.rows() if r == row)
+
+    return as_sum(x).map_modules(one)
 
 
 def socle(x) -> FormalSum:
     """Maximal semisimple submodule, as a sum of simples."""
-
-    def one(mod: Module) -> FormalSum:
-        if is_simple(mod):
-            return FormalSum.of(mod)
-        if isinstance(mod, Proj):
-            return FormalSum.of(Vac(mod.m))
-        word = string_rows(mod)
-        return FormalSum((Vac(f), 1) for f, r in word if r == BOTTOM)
-
-    return as_sum(x).map_modules(one)
+    return _row_factors(x, BOTTOM)
 
 
 def head(x) -> FormalSum:
     """Maximal semisimple quotient, as a sum of simples."""
-
-    def one(mod: Module) -> FormalSum:
-        if is_simple(mod):
-            return FormalSum.of(mod)
-        if isinstance(mod, Proj):
-            return FormalSum.of(Vac(mod.m))
-        word = string_rows(mod)
-        return FormalSum((Vac(f), 1) for f, r in word if r == TOP)
-
-    return as_sum(x).map_modules(one)
+    return _row_factors(x, TOP)
 
 
 @dataclass(frozen=True)
@@ -476,15 +526,27 @@ def _seq(name: str, tag: str, sub, middle, quotient) -> ExactSequence:
     return ExactSequence(name, as_sum(sub), as_sum(middle), as_sum(quotient), tag)
 
 
+# The longest string the grammar accepts.  Hom and Ext list all segments of
+# a string: at length 1000 ``hom`` takes about 0.3 s and ``ext`` about 2 s.
+MAX_STRING_LENGTH = 1000
+# The largest catalog bound: the longest string of the catalog,
+# ``B[2*bound+1,0]``, must still parse.
+MAX_CATALOG_BOUND = (MAX_STRING_LENGTH - 1) // 2
+
+
 def sequence_catalog(bound: int = 8) -> list[ExactSequence]:
     """The catalog of defining and derived non-split exact sequences.
 
-    Family parameters run from their smallest sensible value up to ``bound``.
-    All sequences are stated at base flow 0; flowing a sequence preserves
-    exactness.
+    Family parameters run from their smallest sensible value up to ``bound``,
+    at most :data:`MAX_CATALOG_BOUND`.  All sequences are stated at base
+    flow 0; flowing a sequence preserves exactness.
     """
     if bound < 1:
         raise ValueError("catalog bound must be >= 1")
+    if bound > MAX_CATALOG_BOUND:
+        raise ValueError(
+            f"catalog bound {bound} is above the limit {MAX_CATALOG_BOUND}: its longest "
+            f"string would have length {2 * bound + 1}, above {MAX_STRING_LENGTH}")
     out = [
         _seq("zero-coset plus", "w-plus", vac(0), w_zero_plus(), vac(-1)),
         _seq("zero-coset minus", "w-minus", vac(-1), w_zero_minus(), vac(0)),

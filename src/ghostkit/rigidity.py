@@ -21,33 +21,12 @@ from __future__ import annotations
 import cmath
 import math
 
-_LANCZOS_G = 7.0
-_LANCZOS_COEFFS = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
 
 def gamma_fn(x: float) -> float:
-    """Gamma function via the Lanczos approximation (reflection for x < 1/2)."""
+    """The Gamma function, ``math.gamma`` with its poles named."""
     if x <= 0 and float(x).is_integer():
         raise ValueError(f"gamma pole at {x}")
-    x = float(x)
-    if x < 0.5:
-        return math.pi / (math.sin(math.pi * x) * gamma_fn(1.0 - x))
-    x -= 1.0
-    acc = _LANCZOS_COEFFS[0]
-    for i, c in enumerate(_LANCZOS_COEFFS[1:], start=1):
-        acc += c / (x + i)
-    t = x + _LANCZOS_G + 0.5
-    return math.sqrt(2.0 * math.pi) * t ** (x + 0.5) * math.exp(-t) * acc
+    return math.gamma(x)
 
 
 def beta_fn(a: float, b: float) -> float:
@@ -111,9 +90,12 @@ def rigidity_constant(j: float, w1: float = 1.0, *, ell: int = 0) -> complex:
     if w1 <= 0:
         raise ValueError(f"w1 must be a positive real, got {w1}")
     w2 = 2.0 * w1
-    expo = ell * ell + j * (1 - 2 * ell)
-    prefactor = ((w2 - w1) ** expo) * (w2 ** ((j - 1) * (2 * j - ell - 1))) \
-        * (w1 ** expo)
+    try:
+        expo = ell * ell + j * (1 - 2 * ell)
+        prefactor = ((w2 - w1) ** expo) * (w2 ** ((j - 1) * (2 * j - ell - 1))) \
+            * (w1 ** expo)
+    except OverflowError:
+        raise ValueError(f"ell={ell} is too large: the prefactor overflows a float") from None
     minus_one_pow = cmath.exp(1j * math.pi * j)
     phase = (cmath.exp(2j * math.pi * j) - 1.0) ** 2
     trig = math.pi ** 2 * (j - 1.0) / math.sin(math.pi * j) ** 2

@@ -1,10 +1,15 @@
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
 
-from ghostkit import characters, fusion, grammar
+import ghostkit
+from ghostkit import characters, fusion, grammar, modules, rigidity, verify
 from ghostkit.cli import main
 
 
@@ -304,3 +309,90 @@ def test_string_length_above_limit(capsys, monkeypatch, command):
     assert code == 1
     assert out == ""
     assert f"string length 4000 is above the limit {grammar.MAX_STRING_LENGTH}" in err
+
+
+def test_char_table_limit_is_checked_before_any_build(capsys, monkeypatch):
+    # the early factors of B[100,0] fit in the table, the late ones do not
+    def no_build(weight):
+        raise AssertionError(f"table build started for weight {weight}")
+
+    monkeypatch.setattr(characters, "_SUFFIX", ((1,),))
+    monkeypatch.setattr(characters, "_build_suffix_table", no_build)
+    code, out, err = run(capsys, "char", "B[100,0]", "--hmax", "100", "--jwindow=-100:100")
+    assert code == 1
+    assert out == ""
+    assert f"above the limit {characters.MAX_TABLE_WEIGHT}" in err
+
+
+@pytest.mark.parametrize("flags, cfg_text", [
+    (["--bound", "100000"], ""),
+    ([], "catalog_bound = 500\n"),
+])
+def test_catalog_bound_above_limit(tmp_path, capsys, monkeypatch, flags, cfg_text):
+    def no_sequence(*args):
+        raise AssertionError("a catalog sequence was built")
+
+    monkeypatch.setattr(modules, "_seq", no_sequence)
+    cfg = tmp_path / "ghostkit.cfg"
+    cfg.write_text(cfg_text)
+    code, out, err = run(capsys, "--config", str(cfg), "catalog", *flags)
+    assert code == 1
+    assert out == ""
+    assert f"above the limit {modules.MAX_CATALOG_BOUND}" in err
+
+
+def test_catalog_at_the_bound_limit_parses_again(capsys):
+    code, out, _ = run(capsys, "--format", "json", "catalog",
+                       "--bound", str(modules.MAX_CATALOG_BOUND))
+    assert code == 0
+    sequences = json.loads(out)["sequences"]
+    assert max(len(s["middle"]) for s in sequences) == len(
+        f"B[{grammar.MAX_STRING_LENGTH - 1},0]")
+    for seq in sequences:
+        for part in ("sub", "middle", "quotient"):
+            assert str(grammar.parse_module_expr(seq[part])) == seq[part]
+
+
+def test_catalog_into_a_closed_pipe_exits_quietly():
+    src = str(Path(ghostkit.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.Popen([sys.executable, "-m", "ghostkit.cli", "catalog", "--bound", "400"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    first = proc.stdout.readline()
+    proc.stdout.close()  # like ``| head -1``
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert first.startswith(b"zero-coset plus:")
+    assert err == b""
+
+
+@pytest.mark.parametrize("flags, cfg_text", [
+    (["--max-length", "1000"], ""),
+    (["--max-flow", "1000"], ""),
+    ([], "pool_max_length = 1000\n"),
+    ([], "pool_max_flow = 1000\n"),
+])
+def test_verify_pool_bounds_above_limit(tmp_path, capsys, monkeypatch, flags, cfg_text):
+    def no_module(*args):
+        raise AssertionError("a pool module was built")
+
+    monkeypatch.setattr(verify, "vac", no_module)
+    cfg = tmp_path / "ghostkit.cfg"
+    cfg.write_text(cfg_text)
+    code, out, err = run(capsys, "--config", str(cfg), "verify", "--suite", "fusion", *flags)
+    assert code == 1
+    assert out == ""
+    assert f"at most max_length={verify.MAX_POOL_LENGTH}, max_flow={verify.MAX_POOL_FLOW}" in err
+
+
+def test_rigidity_huge_ell_is_named(capsys, monkeypatch):
+    def no_series(*args, **kwargs):
+        raise AssertionError("a hypergeometric series was summed")
+
+    monkeypatch.setattr(rigidity, "hyp2f1", no_series)
+    code, out, err = run(capsys, "rigidity", "--ell", "100000000")
+    assert code == 1
+    assert out == ""
+    assert "ell=100000000" in err

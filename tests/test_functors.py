@@ -145,3 +145,12 @@ def test_catalog_maps_to_consistent_sequences(contravariant, functor):
     for seq in sequence_catalog(5):
         image = sequence_image(functor, seq, contravariant=contravariant)
         assert image.factors_balance(), (seq.name, functor)
+
+
+@given(modules(), st.integers(min_value=-5, max_value=5))
+def test_label_interface(m, k):
+    assert m.flowed(k).flow == m.flow + k
+    assert m.flowed(-m.flow).flow == 0
+    assert m.conjugated().conjugated() == m
+    assert m.starred().starred() == m
+    assert m.starred().conjugated() == dual_restricted(m)
