@@ -45,7 +45,7 @@ from fractions import Fraction
 from itertools import accumulate
 from operator import add
 
-from .modules import Module, Typ, Vac, composition_factors
+from .modules import Module, Vac, composition_factors, is_simple
 
 
 class TruncationError(ValueError):
@@ -81,14 +81,21 @@ class CharSeries:
         jj = Fraction(j)
         return {h: d for (c, h), d in self.coeffs.items() if c == jj}
 
+    def _common_bounds(self, other: "CharSeries") -> dict[Fraction, Fraction]:
+        # the intersection of two certified regions, column by column
+        return {j: min(self.col_hmax[j], other.col_hmax[j])
+                for j in set(self.col_hmax) & set(other.col_hmax)}
+
+    def _inside(self, bounds: Mapping[Fraction, Fraction]) -> dict:
+        # the entries with ``j`` among the bounds and ``h <= bounds[j]``
+        return {(j, h): d for (j, h), d in self.coeffs.items()
+                if j in bounds and h <= bounds[j]}
+
     def __add__(self, other: "CharSeries") -> "CharSeries":
-        cols = set(self.col_hmax) & set(other.col_hmax)
-        bounds = {j: min(self.col_hmax[j], other.col_hmax[j]) for j in cols}
-        coeffs: dict[tuple[Fraction, Fraction], int] = {}
-        for src in (self.coeffs, other.coeffs):
-            for (j, h), d in src.items():
-                if j in bounds and h <= bounds[j]:
-                    coeffs[(j, h)] = coeffs.get((j, h), 0) + d
+        bounds = self._common_bounds(other)
+        coeffs = self._inside(bounds)
+        for key, d in other._inside(bounds).items():
+            coeffs[key] = coeffs.get(key, 0) + d
         return CharSeries(bounds, coeffs)
 
     def __eq__(self, other) -> bool:
@@ -97,17 +104,11 @@ class CharSeries:
                 and dict(self.coeffs) == dict(other.coeffs))
 
     def agrees_with(self, other: "CharSeries", *, min_points: int = 1) -> bool:
-        """Exact agreement on the intersection of certified regions."""
-        cols = set(self.col_hmax) & set(other.col_hmax)
-        compared = 0
-        for j in cols:
-            bound = min(self.col_hmax[j], other.col_hmax[j])
-            mine = {h: d for h, d in self.column_profile(j).items() if h <= bound}
-            theirs = {h: d for h, d in other.column_profile(j).items() if h <= bound}
-            if mine != theirs:
-                return False
-            compared += len(mine)
-        return compared >= min_points
+        """Exact agreement on the intersection of certified regions, which
+        must hold at least ``min_points`` of this series' entries."""
+        bounds = self._common_bounds(other)
+        mine = self._inside(bounds)
+        return mine == other._inside(bounds) and len(mine) >= min_points
 
 
 def _parse_window(jwindow) -> tuple[Fraction, Fraction]:
@@ -237,26 +238,19 @@ def _enumerate_free_monomials(max_weight: int) -> dict[tuple[int, int], int]:
     return counts
 
 
-def _vacuum_column(free: Mapping[tuple[int, int], int], j: int, h: int) -> int:
-    # Ground states sit at ghost weights 0, -1, -2, ...; a monomial of ghost
-    # charge g on ground state -k lands at ghost weight g - k.
-    if h < 0:
-        return 0
-    return sum(free.get((g, h), 0) for g in range(j, h + 1))
-
-
-def _relaxed_column(free: Mapping[tuple[int, int], int], h: int) -> int:
-    # Ground states exist at every ghost weight in the coset line, so every
-    # column has the same profile.
-    if h < 0:
-        return 0
-    return sum(free.get((g, h), 0) for g in range(-h, h + 1))
+def _column(free: Mapping[tuple[int, int], int], lowest: int, h: int) -> int:
+    # The monomials of weight h and ghost charge at least ``lowest``.  Vacuum
+    # ground states sit at ghost weights 0, -1, -2, ...; a monomial of ghost
+    # charge g on ground state -k lands at ghost weight g - k, so column j
+    # counts the charges g >= j.  Relaxed ground states exist at every ghost
+    # weight in the coset line, so every column has the same profile: all
+    # charges g >= -h.
+    return sum(free.get((g, h), 0) for g in range(lowest, h + 1))
 
 
 def pbw_character_oracle(mod: Module, hmax, jwindow) -> CharSeries:
     """Brute-force character of an untwisted simple by monomial enumeration."""
-    if not isinstance(mod, (Vac, Typ)) or (isinstance(mod, Vac) and mod.ell != 0) \
-            or (isinstance(mod, Typ) and mod.ell != 0):
+    if not (is_simple(mod) and mod.flow == 0):
         raise ValueError(f"oracle only handles untwisted simples, got {mod}")
     jmin, jmax = _parse_window(jwindow)
     hmax = Fraction(hmax)
@@ -264,13 +258,11 @@ def pbw_character_oracle(mod: Module, hmax, jwindow) -> CharSeries:
     free = _enumerate_free_monomials(max(wmax, 0))
     coeffs: dict[tuple[Fraction, Fraction], int] = {}
     bounds: dict[Fraction, Fraction] = {}
+    vacuum = isinstance(mod, Vac)
     for j in _columns_in_window(mod, jmin, jmax):
         bounds[j] = hmax
         for h in range(0, wmax + 1):
-            if isinstance(mod, Vac):
-                d = _vacuum_column(free, int(j), h)
-            else:
-                d = _relaxed_column(free, h)
+            d = _column(free, int(j) if vacuum else -h, h)
             if d:
                 coeffs[(j, Fraction(h))] = d
     return CharSeries(bounds, coeffs)
@@ -279,12 +271,7 @@ def pbw_character_oracle(mod: Module, hmax, jwindow) -> CharSeries:
 def _columns_in_window(mod: Module, jmin: Fraction, jmax: Fraction):
     """Ghost columns of the untwisted simple ``mod`` inside the window."""
     offset = Fraction(0) if isinstance(mod, Vac) else mod.coset
-    col = offset + math.ceil(jmin - offset)
-    out = []
-    while col <= jmax:
-        out.append(col)
-        col += 1
-    return out
+    return [offset + a for a in range(math.ceil(jmin - offset), math.floor(jmax - offset) + 1)]
 
 
 # where the columns of a flowed simple lie, and the table weight they need

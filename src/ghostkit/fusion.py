@@ -7,8 +7,9 @@ Fusion is computed on canonical labels.  The algorithm:
    flow is re-applied to the result;
 3. relaxed simples fuse additively in the coset, with a staggered module
    appearing exactly when the cosets cancel;
-4. projectives form a tensor ideal: fusing a projective with M only sees
-   M's composition factors;
+4. projectives form a tensor ideal: a projective ``X`` (``W`` or ``P``)
+   times a non-relaxed ``M`` is one flow of ``X`` per composition factor of
+   ``M``, ``sum_f flow(X, flow(f))``;
 5. string times string follows twelve closed decomposition formulas whose
    projective parts are the sums ``S[m,n;k]`` expanded by
    :func:`expand_projsum`.
@@ -168,18 +169,12 @@ def _fuse_base(a: Module, b: Module) -> tuple[FormalSum, bool, tuple[ProjSum, ..
         if s == 0:
             return FormalSum.of(Proj(-1)), False, ()
         return FormalSum.of(Typ(s, 0)) + FormalSum.of(Typ(s, -1)), False, ()
-    if isinstance(a, Typ) and isinstance(b, (BStr, TStr)):
-        return FormalSum((Typ(a.coset, j), 1) for j in range(b.n)), False, ()
-    if isinstance(a, Typ) and isinstance(b, Proj):
-        return FormalSum(((Typ(a.coset, -1), 1), (Typ(a.coset, 0), 2),
-                          (Typ(a.coset, 1), 1))), False, ()
-    if isinstance(b, Proj) and isinstance(a, (BStr, TStr)):
-        return FormalSum((Proj(j), 1) for j in range(a.n)), False, ()
-    if isinstance(a, Proj) and isinstance(b, Proj):
-        return FormalSum(((Proj(-1), 1), (Proj(0), 2), (Proj(1), 1))), False, ()
-    if isinstance(a, (BStr, TStr)) and isinstance(b, (BStr, TStr)):
-        return _string_fuse(a, b)
-    raise TypeError(f"cannot fuse {a!r} with {b!r}")  # pragma: no cover
+    if is_projective(a) or is_projective(b):
+        # Projectives form a tensor ideal: the product sees only the other
+        # factor's composition factors, one flowed projective for each.
+        p, other = (a, b) if is_projective(a) else (b, a)
+        return FormalSum((p.flowed(f.flow), 1) for f in other.factors()), False, ()
+    return _string_fuse(a, b)
 
 
 # Products of label pairs, flowed and at base flow 0.  Without the flowed

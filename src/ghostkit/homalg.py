@@ -1,10 +1,13 @@
 """Hom and first-Ext dimensions, projective covers, injective hulls and
 minimal presentations.
 
-Hom dimensions are computed structurally:
+Hom and Ext dimensions are computed on pairs of labels and lifted
+bilinearly to sums.  Hom is computed structurally:
 
-* a projective source or injective target reduces Hom to a composition
-  factor multiplicity (here projective and injective objects coincide);
+* projective and injective objects coincide here, and the simple head of a
+  projective, ``W`` itself or ``V[m]`` for ``P[m]``, is also its socle; Hom
+  out of or into a projective is that simple's composition multiplicity in
+  the other side;
 * for modules in the vacuum sector (simples and strings) Hom counts pairs
   of matching labeled segments, one occurring as a quotient of the source
   and one as a submodule of the target.
@@ -29,72 +32,53 @@ for every module in the verification pool).
 
 from __future__ import annotations
 
+from collections import Counter
+
 from .modules import (
-    BOTTOM, TOP, BStr, ExactSequence, FormalSum, Module, Proj, TStr, Typ,
-    Vac, as_sum, bstr, composition_factors, head, is_projective, socle,
+    BOTTOM, TOP, BStr, ExactSequence, FormalSum, Module, Proj, TStr, as_sum,
+    bstr, head, is_projective, socle,
 )
 
 
-def _segment_label(word, i, j):
-    # (start flow, length, first row); row irrelevant for single factors
-    length = j - i + 1
-    first_row = word[i][1] if length > 1 else None
-    return (word[i][0], length, first_row)
-
-
-def _quotient_segments(word):
-    n = len(word)
-    out = []
-    for i in range(n):
-        if word[i][1] == BOTTOM and i > 0:
+def _segments(word, closed: str):
+    """Labels ``(start flow, length, first row)`` of the segments of ``word``
+    whose endpoints in row ``closed`` are endpoints of the whole string:
+    quotients for ``BOTTOM``, submodules for ``TOP``.  A single factor has no
+    row in its label."""
+    last = len(word) - 1
+    for i, (flow, row) in enumerate(word):
+        if row == closed and i > 0:
             continue
-        for j in range(i, n):
-            if word[j][1] == BOTTOM and j < n - 1:
+        for j in range(i, last + 1):
+            if word[j][1] == closed and j < last:
                 continue
-            out.append(_segment_label(word, i, j))
-    return out
-
-
-def _submodule_segments(word):
-    n = len(word)
-    out = []
-    for i in range(n):
-        if word[i][1] == TOP and i > 0:
-            continue
-        for j in range(i, n):
-            if word[j][1] == TOP and j < n - 1:
-                continue
-            out.append(_segment_label(word, i, j))
-    return out
+            yield flow, j - i + 1, row if j > i else None
 
 
 def _hom_modules(m: Module, n: Module) -> int:
-    src_factors = composition_factors(m)
-    tgt_factors = composition_factors(n)
-    if isinstance(m, Proj):
-        return tgt_factors.get(Vac(m.m), 0)
-    if isinstance(m, Typ):
-        return tgt_factors.get(m, 0)
-    if isinstance(n, Proj):
-        return src_factors.get(Vac(n.m), 0)
-    if isinstance(n, Typ):
-        return src_factors.get(n, 0)
+    # a projective source sees the factors of n equal to its head, and a
+    # projective (so injective) target the factors of m equal to its socle
+    if is_projective(m):
+        return sum(n.factors().count(s) for s in head(m).modules())
+    if is_projective(n):
+        return sum(m.factors().count(s) for s in socle(n).modules())
     # Both sides now live in the vacuum sector (simple or string).
-    quots = _quotient_segments(m.rows())
-    subs = _submodule_segments(n.rows())
-    sub_counts: dict = {}
-    for lab in subs:
-        sub_counts[lab] = sub_counts.get(lab, 0) + 1
-    return sum(sub_counts.get(lab, 0) for lab in quots)
+    subs = Counter(_segments(n.rows(), TOP))
+    return sum(subs[lab] for lab in _segments(m.rows(), BOTTOM))
+
+
+def _bilinear(one, m, n) -> int:
+    # the lift of a rule on pairs of labels to sums
+    total = 0
+    for ma, ka in as_sum(m):
+        for mb, kb in as_sum(n):
+            total += ka * kb * one(ma, mb)
+    return total
 
 
 def hom_dim(m, n) -> int:
     """Dimension of the space of module maps ``m -> n``; bilinear in sums."""
-    total = 0
-    for ma, ka in as_sum(m):
-        for mb, kb in as_sum(n):
-            total += ka * kb * _hom_modules(ma, mb)
-    return total
+    return _bilinear(_hom_modules, m, n)
 
 
 def _staggered_over(x, simples) -> FormalSum:
@@ -121,18 +105,16 @@ def presentation_kernel(mod: Module) -> Module:
     """Kernel of the projective cover map ``P0 ->> mod``."""
     if is_projective(mod):
         raise ValueError(f"{mod} is projective; its presentation is trivial")
-    if isinstance(mod, Vac):
-        # rad P[m]: the wedge with socle V[m] and head V[m-1], V[m+1]
-        return TStr(3, mod.ell - 1)
+    n = len(mod.factors())
     if isinstance(mod, BStr):
-        if mod.n % 2:
-            return bstr(mod.n - 2, mod.m + 1)
-        return BStr(mod.n, mod.m + 1)
-    if isinstance(mod, TStr):
-        if mod.n % 2:
-            return TStr(mod.n + 2, mod.m - 1)
-        return TStr(mod.n, mod.m - 1)
-    raise TypeError(f"not a canonical module: {mod!r}")
+        if n % 2:
+            return bstr(n - 2, mod.m + 1)
+        return BStr(n, mod.m + 1)
+    # T[n,m], with V[l] read as the string T[1,l]: its odd rule then gives
+    # rad P[l], the wedge with socle V[l] and head V[l-1], V[l+1]
+    if n % 2:
+        return TStr(n + 2, mod.flow - 1)
+    return TStr(n, mod.flow - 1)
 
 
 def presentation_cokernel(mod: Module) -> Module:
@@ -154,12 +136,8 @@ def _ext_modules(m: Module, n: Module) -> int:
 
 def ext_dim(m, n) -> int:
     """Dimension of the first extension group ``Ext^1(m, n)``; zero whenever
-    either argument is projective."""
-    total = 0
-    for ma, ka in as_sum(m):
-        for mb, kb in as_sum(n):
-            total += ka * kb * _ext_modules(ma, mb)
-    return total
+    either argument is projective.  Bilinear in sums."""
+    return _bilinear(_ext_modules, m, n)
 
 
 def euler_check(seq: ExactSequence, probe: Module) -> bool:

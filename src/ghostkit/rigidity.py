@@ -81,28 +81,39 @@ def rigidity_constant(j: float, w1: float = 1.0, *, ell: int = 0) -> complex:
     ``j`` is the ghost-coset representative in ``(0, 1)``; ``w1`` must be a
     positive real so all non-integer powers stay on the principal branch.
     ``ell`` only enters through a nonzero prefactor and defaults to the
-    untwisted representative.
+    untwisted representative.  A prefactor or constant out of the float
+    range raises :class:`ValueError`; the prefactor is checked first.
     """
     j = float(j)
     if not 0.0 < j < 1.0:
         raise ValueError(f"coset representative must lie in (0, 1), got {j}")
     w1 = float(w1)
-    if w1 <= 0:
-        raise ValueError(f"w1 must be a positive real, got {w1}")
     w2 = 2.0 * w1
+    if not (w1 > 0 and math.isfinite(w2)):
+        raise ValueError(f"w1 must be a positive real with 2*w1 finite, got {w1}")
     try:
         expo = ell * ell + j * (1 - 2 * ell)
         prefactor = ((w2 - w1) ** expo) * (w2 ** ((j - 1) * (2 * j - ell - 1))) \
             * (w1 ** expo)
     except OverflowError:
-        raise ValueError(f"ell={ell} is too large: the prefactor overflows a float") from None
+        prefactor = math.inf
+    _check_range(prefactor, "the prefactor", ell, w1)
     minus_one_pow = cmath.exp(1j * math.pi * j)
     phase = (cmath.exp(2j * math.pi * j) - 1.0) ** 2
     trig = math.pi ** 2 * (j - 1.0) / math.sin(math.pi * j) ** 2
     f_left = hyp2f1(-j, j, 1.0, (w2 - w1) / w2)
     f_right = hyp2f1(1.0 - j, j, 1.0, w1 / w2)
-    return minus_one_pow * prefactor * phase * (w2 ** (2 * j - 1)) * trig \
+    value = minus_one_pow * prefactor * phase * (w2 ** (2 * j - 1)) * trig \
         * f_left * f_right
+    return _check_range(value, "the constant", ell, w1)
+
+
+def _check_range(x, what: str, ell: int, w1: float):
+    # the constant is non-zero, so a float zero or infinity would be wrong
+    if x == 0 or not math.isfinite(abs(x)):
+        fault = "underflows to zero" if x == 0 else "overflows a float"
+        raise ValueError(f"ell={ell} with w1={w1} is out of range: {what} {fault}")
+    return x
 
 
 def default_grid(points: int = 50, lo: float = 0.02, hi: float = 0.98):

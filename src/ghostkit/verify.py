@@ -61,6 +61,11 @@ def _check(name: str, cases, holds, detail: str = "") -> Check:
 # (8, 4) the fusion suite takes 12 s and 430 MB, 3x its cost at (7, 3).
 MAX_POOL_LENGTH = 8
 MAX_POOL_FLOW = 4
+# The most cosets a pool may list; each adds one relaxed simple per flow.
+# At (8, 4) six cosets give 198 modules, and the fusion suite took 47 s and
+# 645 MB peak RSS, against 31 s and 433 MB for the 171 modules of the
+# default three (Python 3.11, a 2-core VM under load, one run each).
+MAX_POOL_COSETS = 6
 
 
 def pool_modules(max_length: int = 7, max_flow: int = 3,
@@ -71,6 +76,8 @@ def pool_modules(max_length: int = 7, max_flow: int = 3,
     if max_length > MAX_POOL_LENGTH or max_flow > MAX_POOL_FLOW:
         raise ValueError(f"pool bounds must be at most max_length={MAX_POOL_LENGTH}, "
                          f"max_flow={MAX_POOL_FLOW}, got {max_length}, {max_flow}")
+    if len(cosets) > MAX_POOL_COSETS:
+        raise ValueError(f"a pool lists at most {MAX_POOL_COSETS} cosets, got {len(cosets)}")
     flows = range(-max_flow, max_flow + 1)
     pool: list[Module] = [vac(l) for l in flows]
     pool += [typ(c, l) for c in cosets for l in flows]
@@ -135,23 +142,22 @@ def _delta(i: int, j: int) -> int:
     return 1 if i == j else 0
 
 
+def _short_kind(m: Module) -> tuple[str | None, int]:
+    # (family, flow) in the four short families, else (None, 0)
+    if isinstance(m, Vac):
+        return "V", m.ell
+    if isinstance(m, TStr) and m.n == 2:
+        return "T2", m.m
+    if isinstance(m, BStr) and m.n == 2:
+        return "B2", m.m
+    if isinstance(m, Proj):
+        return "P", m.m
+    return None, 0
+
+
 def hom_table_expected(row: Module, col: Module) -> int | None:
     """Closed-form Hom dimensions for the four short families, by flow."""
-    def kind(m):
-        if isinstance(m, Vac):
-            return "V", m.ell
-        if isinstance(m, TStr) and m.n == 2:
-            return "T2", m.m
-        if isinstance(m, BStr) and m.n == 2:
-            return "B2", m.m
-        if isinstance(m, Proj):
-            return "P", m.m
-        return None, 0
-
-    rk, n = kind(row)
-    ck, m = kind(col)
-    if rk is None or ck is None:
-        return None
+    (rk, n), (ck, m) = _short_kind(row), _short_kind(col)
     table = {
         ("V", "V"): _delta(n, m),
         ("V", "T2"): _delta(n, m + 1),
@@ -170,23 +176,12 @@ def hom_table_expected(row: Module, col: Module) -> int | None:
         ("P", "B2"): _delta(n, m) + _delta(n, m + 1),
         ("P", "P"): _delta(n, m - 1) + 2 * _delta(n, m) + _delta(n, m + 1),
     }
-    return table[(rk, ck)]
+    return table.get((rk, ck))
 
 
 def ext_table_expected(row: Module, col: Module) -> int | None:
-    def kind(m):
-        if isinstance(m, Vac):
-            return "V", m.ell
-        if isinstance(m, TStr) and m.n == 2:
-            return "T2", m.m
-        if isinstance(m, BStr) and m.n == 2:
-            return "B2", m.m
-        return None, 0
-
-    rk, n = kind(row)
-    ck, m = kind(col)
-    if rk is None or ck is None:
-        return None
+    """Closed-form Ext dimensions for the three non-projective short families."""
+    (rk, n), (ck, m) = _short_kind(row), _short_kind(col)
     table = {
         ("V", "V"): _delta(n, m - 1) + _delta(n, m + 1),
         ("V", "T2"): _delta(n, m + 2),
@@ -198,7 +193,7 @@ def ext_table_expected(row: Module, col: Module) -> int | None:
         ("B2", "T2"): 0,
         ("B2", "B2"): _delta(n, m - 2) + _delta(n, m - 1),
     }
-    return table[(rk, ck)]
+    return table.get((rk, ck))
 
 
 def _short_family(flow_idx: int) -> list[Module]:

@@ -5,7 +5,7 @@ import pytest
 
 from ghostkit import characters
 from ghostkit.characters import (
-    MAX_TABLE_WEIGHT, MAX_WINDOW_WIDTH, TruncationError, _enumerate_free_monomials,
+    MAX_TABLE_WEIGHT, MAX_WINDOW_WIDTH, CharSeries, TruncationError, _enumerate_free_monomials,
     char_dual, char_flow, character, free_monomial_counts, pbw_character_oracle,
 )
 from ghostkit.functors import dual_restricted, flow
@@ -216,3 +216,19 @@ def test_per_column_finiteness_and_lower_bounds():
         assert all(d >= 0 for d in profile.values())
         if profile:
             assert min(profile) >= -abs(j) * 8  # crude lower bound sanity
+
+
+def test_series_compare_and_add_on_the_common_region():
+    F = Fraction
+    a = CharSeries({F(0): F(2), F(1): F(5)},
+                   {(F(0), F(1)): 3, (F(0), F(3)): 7, (F(1), F(4)): 1, (F(9), F(0)): 4})
+    b = CharSeries({F(0): F(1), F(1): F(4), F(2): F(9)},
+                   {(F(0), F(1)): 3, (F(0), F(2)): 8, (F(1), F(4)): 1, (F(2), F(0)): 6})
+    # the region is column 0 to h <= 1 and column 1 to h <= 4: two entries
+    # each side, equal; everything outside it is ignored
+    assert a.agrees_with(b, min_points=2) and b.agrees_with(a, min_points=2)
+    assert not a.agrees_with(b, min_points=3)
+    assert not a.agrees_with(CharSeries(b.col_hmax, {**b.coeffs, (F(1), F(0)): 1}))
+    total = a + b
+    assert dict(total.col_hmax) == {F(0): F(1), F(1): F(4)}
+    assert dict(total.coeffs) == {(F(0), F(1)): 6, (F(1), F(4)): 2}

@@ -396,3 +396,51 @@ def test_rigidity_huge_ell_is_named(capsys, monkeypatch):
     assert code == 1
     assert out == ""
     assert "ell=100000000" in err
+
+
+def test_verify_pool_cosets_above_limit(tmp_path, capsys, monkeypatch):
+    def no_module(*args):
+        raise AssertionError("a pool module was built")
+
+    monkeypatch.setattr(verify, "vac", no_module)
+    monkeypatch.setattr(verify, "typ", no_module)
+    cosets = ", ".join(f"1/{k}" for k in range(2, 3 + verify.MAX_POOL_COSETS))
+    cfg = tmp_path / "ghostkit.cfg"
+    cfg.write_text(f"pool_cosets = {cosets}\n")
+    code, out, err = run(capsys, "--config", str(cfg), "verify", "--suite", "fusion")
+    assert code == 1
+    assert out == ""
+    assert f"at most {verify.MAX_POOL_COSETS} cosets, got {verify.MAX_POOL_COSETS + 1}" in err
+
+
+@pytest.mark.parametrize("flags, named", [
+    (["--ell", "30", "--w1", "0.5"], "ell=30 with w1=0.5"),
+    (["--ell", "-30", "--w1", "0.5"], "ell=-30 with w1=0.5"),
+    (["--ell", "3", "--w1", "1e300"], "ell=3 with w1=1e+300"),
+    (["--w1", "nan"], "2*w1 finite"),
+    (["--w1", "inf"], "2*w1 finite"),
+    (["--w1", "1e308"], "2*w1 finite"),
+])
+def test_rigidity_out_of_range_is_refused_before_any_series(capsys, monkeypatch, flags, named):
+    def no_series(*args, **kwargs):
+        raise AssertionError("a hypergeometric series was summed")
+
+    monkeypatch.setattr(rigidity, "hyp2f1", no_series)
+    code, out, err = run(capsys, "rigidity", *flags)
+    assert code == 1
+    assert out == ""
+    assert named in err
+
+
+def test_rigidity_constant_out_of_range_is_refused(capsys):
+    # the prefactor is in range here, but the constant underflows to zero
+    code, out, err = run(capsys, "rigidity", "--j", "0.98", "--w1", "1e-10", "--ell", "-3")
+    assert code == 1
+    assert out == ""
+    assert "ell=-3 with w1=1e-10" in err and "constant underflows" in err
+
+
+def test_rigidity_in_range_value_is_kept(capsys):
+    code, out, _ = run(capsys, "rigidity", "--ell", "5", "--w1", "0.5")
+    assert code == 0
+    assert "|I|=1.130744634372e-12" in out

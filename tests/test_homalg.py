@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -205,3 +206,22 @@ def test_defining_sequences_have_unique_extensions():
             quot = next(seq.quotient.modules())
             sub = next(seq.sub.modules())
             assert ext_dim(quot, sub) == 1, seq.name
+
+
+HOM_EXT_TABLE_SHA256 = "b39fd507ec4d7d4165761ccb73cc4969223e587e809ab4bb33cb24e0313eaef0"
+
+
+def test_full_hom_ext_table_is_pinned():
+    # every ordered pair of the default pool, then the presentation of every
+    # non-projective module in it
+    pool = pool_modules()
+    assert len(pool) == 119
+    h = hashlib.sha256()
+    for a in pool:
+        for b in pool:
+            h.update(f"{a}|{b}|{hom_dim(a, b)}|{ext_dim(a, b)}\n".encode())
+    for m in pool:
+        if not is_projective(m):
+            h.update(f"{m}|{presentation_kernel(m)}|{presentation_cokernel(m)}|"
+                     f"{projective_cover(m)}|{injective_hull(m)}\n".encode())
+    assert h.hexdigest() == HOM_EXT_TABLE_SHA256
