@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 
 
 def gamma_fn(x: float) -> float:
@@ -81,8 +82,9 @@ def rigidity_constant(j: float, w1: float = 1.0, *, ell: int = 0) -> complex:
     ``j`` is the ghost-coset representative in ``(0, 1)``; ``w1`` must be a
     positive real so all non-integer powers stay on the principal branch.
     ``ell`` only enters through a nonzero prefactor and defaults to the
-    untwisted representative.  A prefactor or constant out of the float
-    range raises :class:`ValueError`; the prefactor is checked first.
+    untwisted representative.  A prefactor or constant that is zero, subnormal
+    or not finite raises :class:`ValueError`; a zero or overflowing prefactor
+    is refused before any series is summed.
     """
     j = float(j)
     if not 0.0 < j < 1.0:
@@ -105,15 +107,24 @@ def rigidity_constant(j: float, w1: float = 1.0, *, ell: int = 0) -> complex:
     f_right = hyp2f1(1.0 - j, j, 1.0, w1 / w2)
     value = minus_one_pow * prefactor * phase * (w2 ** (2 * j - 1)) * trig \
         * f_left * f_right
-    return _check_range(value, "the constant", ell, w1)
+    _check_range(value, "the constant", ell, w1, sys.float_info.min)
+    # a subnormal prefactor leaves too few digits even in a normal constant
+    _check_range(prefactor, "the prefactor", ell, w1, sys.float_info.min)
+    return value
 
 
-def _check_range(x, what: str, ell: int, w1: float):
-    # the constant is non-zero, so a float zero or infinity would be wrong
-    if x == 0 or not math.isfinite(abs(x)):
-        fault = "underflows to zero" if x == 0 else "overflows a float"
-        raise ValueError(f"ell={ell} with w1={w1} is out of range: {what} {fault}")
-    return x
+def _check_range(x, what: str, ell: int, w1: float, smallest: float = 0.0):
+    # the constant is non-zero, so a float zero or infinity would be wrong;
+    # below ``smallest`` (a subnormal float) too few digits are left to print
+    if x == 0:
+        fault = "underflows to zero"
+    elif abs(x) < smallest:
+        fault = "underflows to a subnormal float"
+    elif not math.isfinite(abs(x)):
+        fault = "overflows a float"
+    else:
+        return
+    raise ValueError(f"ell={ell} with w1={w1} is out of range: {what} {fault}")
 
 
 def default_grid(points: int = 50, lo: float = 0.02, hi: float = 0.98):

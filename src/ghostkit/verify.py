@@ -23,6 +23,7 @@ from .modules import (
     BStr, FormalSum, Module, Proj, TStr, Vac, bstr, composition_factors,
     is_projective, is_simple, proj, sequence_catalog, tstr, typ, vac,
 )
+from .weights import coset
 
 
 @dataclass
@@ -80,7 +81,8 @@ def pool_modules(max_length: int = 7, max_flow: int = 3,
         raise ValueError(f"a pool lists at most {MAX_POOL_COSETS} cosets, got {len(cosets)}")
     flows = range(-max_flow, max_flow + 1)
     pool: list[Module] = [vac(l) for l in flows]
-    pool += [typ(c, l) for c in cosets for l in flows]
+    # cosets equal mod 1 name one module; keep the first of each
+    pool += [typ(c, l) for c in dict.fromkeys(map(coset, cosets)) for l in flows]
     pool += [bstr(n, m) for n in range(2, max_length + 1) for m in flows]
     pool += [tstr(n, m) for n in range(2, max_length + 1) for m in flows]
     pool += [proj(m) for m in flows]

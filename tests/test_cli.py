@@ -444,3 +444,55 @@ def test_rigidity_in_range_value_is_kept(capsys):
     code, out, _ = run(capsys, "rigidity", "--ell", "5", "--w1", "0.5")
     assert code == 0
     assert "|I|=1.130744634372e-12" in out
+
+
+@pytest.mark.parametrize("flags, what", [
+    (["--j", "0.02", "--ell", "23", "--w1", "0.5"], "the constant"),
+    (["--j", "0.1", "--ell", "-2", "--w1", "1e-40"], "the prefactor"),
+])
+def test_rigidity_subnormal_is_refused(capsys, flags, what):
+    # |I| = 4.4e-317 and a prefactor of 7.5e-318 keep about 7 significant digits
+    code, out, err = run(capsys, "rigidity", *flags)
+    assert code == 1
+    assert out == ""
+    ell, w1 = flags[3], flags[5]
+    assert f"ell={ell} with w1={w1}" in err and f"{what} underflows to a subnormal" in err
+
+
+def _loaded_submodules(code):
+    src = str(Path(ghostkit.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    script = ("import sys\n" + code + "\n"
+              "print(' '.join(sorted(name for name in sys.modules"
+              " if name.startswith('ghostkit.'))))\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.splitlines()[-1].split())
+
+
+def test_cli_import_loads_only_what_the_command_needs():
+    engines = {"ghostkit.verify", "ghostkit.rigidity", "ghostkit.homalg",
+               "ghostkit.fusion", "ghostkit.functors"}
+    loaded = _loaded_submodules("import ghostkit.cli")
+    # perfbench's traced probe looks up FormalSum and CharSeries right after this import
+    assert {"ghostkit.modules", "ghostkit.characters"} <= loaded
+    assert not loaded & engines
+
+    loaded = _loaded_submodules("import ghostkit.cli\n"
+                                "ghostkit.cli.main(['fuse', 'W[1/3,0]', 'W[2/3,0]'])")
+    assert "ghostkit.fusion" in loaded
+    assert "ghostkit.verify" not in loaded
+
+
+def test_suite_choices_are_the_verify_suites():
+    import argparse
+
+    from ghostkit.cli import build_parser
+
+    commands = next(action for action in build_parser()._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    suite = next(action for action in commands.choices["verify"]._actions
+                 if action.dest == "suite")
+    assert tuple(suite.choices) == ("all",) + tuple(verify.SUITES)

@@ -1,12 +1,13 @@
 import json
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
 from ghostkit.cli import main
 from ghostkit.config import Config
 from ghostkit.modules import BStr, Proj, TStr, Typ, Vac
-from ghostkit.verify import SUITES, fusion_suite, pool_modules, run_suites
+from ghostkit.verify import MAX_POOL_COSETS, SUITES, fusion_suite, pool_modules, run_suites
 
 
 def test_pool_composition():
@@ -16,6 +17,17 @@ def test_pool_composition():
     for mod in pool:
         kinds[type(mod)] = kinds.get(type(mod), 0) + 1
     assert kinds == {Vac: 7, Typ: 21, BStr: 42, TStr: 42, Proj: 7}
+
+
+def test_pool_merges_equal_cosets_in_first_order():
+    third, two_thirds = Fraction(1, 3), Fraction(2, 3)
+    pool = pool_modules(0, 0, [third, Fraction(4, 3)])
+    assert [str(mod) for mod in pool] == ["V[0]", "W[1/3,0]", "P[0]"]
+    pool = pool_modules(0, 0, [two_thirds, third, Fraction(-1, 3), Fraction(5, 3)])
+    assert [str(mod) for mod in pool] == ["V[0]", "W[2/3,0]", "W[1/3,0]", "P[0]"]
+    # the cap counts the cosets as listed, before any are merged
+    with pytest.raises(ValueError, match="at most"):
+        pool_modules(0, 0, [third] * (MAX_POOL_COSETS + 1))
 
 
 def test_run_suites_rejects_unknown():
