@@ -21,10 +21,14 @@ entry is one lookup and a relaxed one is the row total.  The table is
 rebuilt only when a larger weight is needed, and never beyond
 :data:`MAX_TABLE_WEIGHT`: a character that would need more raises
 :class:`ValueError` before anything is allocated; so does a ghost window
-wider than :data:`MAX_WINDOW_WIDTH`.  All weights of a flowed
-simple share their fractional parts (its sector), so the fast route keys
-its grids by integer offsets within the sector and builds ``Fraction`` keys
-once per output entry.
+wider than :data:`MAX_WINDOW_WIDTH`.  The oracle refuses weights above
+:data:`MAX_ORACLE_WEIGHT`, where its enumeration would run for seconds.
+
+All weights of a flowed simple share their fractional parts (its sector),
+so a :class:`CharSeries` keeps, per sector, a grid keyed by integer offsets
+within it.  Sums, comparisons and the flow and dual transforms work on
+those grids with one ``Fraction`` step per column or sector; ``Fraction``
+keys are built only when the entries are read out.
 
 Characters of non-simple indecomposables are the sums of their composition
 factors' characters (graded dimension ignores the filtration), and
@@ -37,10 +41,10 @@ comparisons in tests intersect certified regions.
 
 from __future__ import annotations
 
+import heapq
 import math
 from collections import namedtuple
 from collections.abc import Iterator, Mapping
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from operator import add
@@ -52,12 +56,54 @@ class TruncationError(ValueError):
     """Raised when a transform leaves no certified entries at all."""
 
 
-@dataclass(frozen=True, eq=False)
-class CharSeries:
-    """A truncated character table with per-column certified bounds."""
+def _split(x) -> tuple[Fraction, int]:
+    """``x`` as its fractional part in ``[0, 1)`` and its integer part."""
+    n = math.floor(x)
+    return x - n, n
 
-    col_hmax: Mapping[Fraction, Fraction]
-    coeffs: Mapping[tuple[Fraction, Fraction], int]
+
+class CharSeries:
+    """A truncated character table with per-column certified bounds.
+
+    ``col_hmax`` maps each ghost column ``j`` to its certified bound.  The
+    entries are stored by sector: each ``(jf, hf)``, fractional parts in
+    ``[0, 1)``, maps to a nonempty grid ``{(a, b): d}`` of plain integers
+    standing for the weight ``(jf + a, hf + b)``.  ``Fraction`` keys are
+    built only by :attr:`coeffs` and :meth:`entries`.
+    """
+
+    __slots__ = ("col_hmax", "_sectors")
+
+    def __init__(self, col_hmax: Mapping[Fraction, Fraction],
+                 coeffs: Mapping[tuple[Fraction, Fraction], int]):
+        sectors: dict[tuple[Fraction, Fraction], dict[tuple[int, int], int]] = {}
+        for (j, h), d in coeffs.items():
+            (jf, a), (hf, b) = _split(Fraction(j)), _split(Fraction(h))
+            sectors.setdefault((jf, hf), {})[(a, b)] = d
+        self.col_hmax = col_hmax
+        self._sectors = sectors
+
+    @classmethod
+    def _from_sectors(cls, col_hmax, sectors) -> "CharSeries":
+        out = cls.__new__(cls)
+        out.col_hmax = col_hmax
+        out._sectors = sectors
+        return out
+
+    def __repr__(self) -> str:
+        return f"CharSeries({self.col_hmax!r}, {self.coeffs!r})"
+
+    def _runs(self) -> Iterator[list[tuple[Fraction, Fraction, int]]]:
+        # per sector, its entries ``(j, h, d)`` in ascending order
+        for (jf, hf), grid in self._sectors.items():
+            js = {a: jf + a for a in {a for a, _ in grid}}
+            hs = {b: hf + b for b in {b for _, b in grid}}
+            yield [(js[a], hs[b], d) for (a, b), d in sorted(grid.items())]
+
+    @property
+    def coeffs(self) -> dict[tuple[Fraction, Fraction], int]:
+        """The entries as ``{(j, h): d}``, built on each access."""
+        return {(j, h): d for run in self._runs() for j, h, d in run}
 
     def columns(self) -> tuple[Fraction, ...]:
         return tuple(sorted(self.col_hmax))
@@ -71,15 +117,17 @@ class CharSeries:
             raise KeyError(f"ghost column {jj} outside the computed window")
         if hh > self.col_hmax[jj]:
             raise TruncationError(f"h={hh} above certified bound in column {jj}")
-        return self.coeffs.get((jj, hh), 0)
+        (jf, a), (hf, b) = _split(jj), _split(hh)
+        return self._sectors.get((jf, hf), {}).get((a, b), 0)
 
     def entries(self) -> Iterator[tuple[Fraction, Fraction, int]]:
-        for (j, h), d in sorted(self.coeffs.items()):
-            yield j, h, d
+        # sectors never share a weight, so the sorted runs merge without ties
+        yield from heapq.merge(*self._runs())
 
     def column_profile(self, j) -> dict[Fraction, int]:
-        jj = Fraction(j)
-        return {h: d for (c, h), d in self.coeffs.items() if c == jj}
+        jf, a = _split(Fraction(j))
+        return {hf + b: d for (sf, hf), grid in self._sectors.items() if sf == jf
+                for (c, b), d in grid.items() if c == a}
 
     def _common_bounds(self, other: "CharSeries") -> dict[Fraction, Fraction]:
         # the intersection of two certified regions, column by column
@@ -87,28 +135,42 @@ class CharSeries:
                 for j in set(self.col_hmax) & set(other.col_hmax)}
 
     def _inside(self, bounds: Mapping[Fraction, Fraction]) -> dict:
-        # the entries with ``j`` among the bounds and ``h <= bounds[j]``
-        return {(j, h): d for (j, h), d in self.coeffs.items()
-                if j in bounds and h <= bounds[j]}
+        # per sector, the entries with ``j`` among the bounds and
+        # ``h <= bounds[j]``: one integer limit on ``b`` per column
+        by_frac: dict[Fraction, dict[int, Fraction]] = {}
+        for j, bound in bounds.items():
+            jf, a = _split(j)
+            by_frac.setdefault(jf, {})[a] = bound
+        out = {}
+        for (jf, hf), grid in self._sectors.items():
+            limits = {a: math.floor(bound - hf) for a, bound in by_frac.get(jf, {}).items()}
+            kept = {(a, b): d for (a, b), d in grid.items()
+                    if a in limits and b <= limits[a]}
+            if kept:
+                out[(jf, hf)] = kept
+        return out
 
     def __add__(self, other: "CharSeries") -> "CharSeries":
         bounds = self._common_bounds(other)
-        coeffs = self._inside(bounds)
-        for key, d in other._inside(bounds).items():
-            coeffs[key] = coeffs.get(key, 0) + d
-        return CharSeries(bounds, coeffs)
+        sectors = self._inside(bounds)
+        for sector, grid in other._inside(bounds).items():
+            mine = sectors.setdefault(sector, {})
+            for key, d in grid.items():
+                mine[key] = mine.get(key, 0) + d
+        return CharSeries._from_sectors(bounds, sectors)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, CharSeries)
                 and dict(self.col_hmax) == dict(other.col_hmax)
-                and dict(self.coeffs) == dict(other.coeffs))
+                and self._sectors == other._sectors)
 
     def agrees_with(self, other: "CharSeries", *, min_points: int = 1) -> bool:
         """Exact agreement on the intersection of certified regions, which
         must hold at least ``min_points`` of this series' entries."""
         bounds = self._common_bounds(other)
         mine = self._inside(bounds)
-        return mine == other._inside(bounds) and len(mine) >= min_points
+        return (mine == other._inside(bounds)
+                and sum(map(len, mine.values())) >= min_points)
 
 
 def _parse_window(jwindow) -> tuple[Fraction, Fraction]:
@@ -248,13 +310,31 @@ def _column(free: Mapping[tuple[int, int], int], lowest: int, h: int) -> int:
     return sum(free.get((g, h), 0) for g in range(lowest, h + 1))
 
 
+# The largest weight the enumeration oracle counts to.  Its cost doubles
+# about every two weights; at this weight one call takes about 1 s (Python
+# 3.11, one core of an Intel Xeon server).
+MAX_ORACLE_WEIGHT = 24
+
+
+def oracle_weight(hmax) -> int:
+    """The weight :func:`pbw_character_oracle` enumerates to at ``hmax``.
+    Raises :class:`ValueError` above :data:`MAX_ORACLE_WEIGHT`."""
+    hmax = Fraction(hmax)
+    wmax = int(hmax) if hmax >= 0 else -1
+    if wmax > MAX_ORACLE_WEIGHT:
+        raise ValueError(
+            f"the enumeration oracle at hmax={hmax} counts monomials to weight {wmax}, "
+            f"above the limit {MAX_ORACLE_WEIGHT}; lower hmax")
+    return wmax
+
+
 def pbw_character_oracle(mod: Module, hmax, jwindow) -> CharSeries:
     """Brute-force character of an untwisted simple by monomial enumeration."""
     if not (is_simple(mod) and mod.flow == 0):
         raise ValueError(f"oracle only handles untwisted simples, got {mod}")
     jmin, jmax = _parse_window(jwindow)
+    wmax = oracle_weight(hmax)
     hmax = Fraction(hmax)
-    wmax = int(hmax) if hmax >= 0 else -1
     free = _enumerate_free_monomials(max(wmax, 0))
     coeffs: dict[tuple[Fraction, Fraction], int] = {}
     bounds: dict[Fraction, Fraction] = {}
@@ -336,14 +416,10 @@ def character(x, hmax=8, jwindow=(-6, 6)) -> CharSeries:
         for key, d in _simple_character(layout, free).items():
             grid[key] = grid.get(key, 0) + k * d
     bounds: dict[Fraction, Fraction] = {}
-    total: dict[tuple[Fraction, Fraction], int] = {}
-    for (jf, hf), (cols, grid) in sectors.items():
-        js = {a: jf + a for a in cols}
-        hs = {b: hf + b for b in {b for _, b in grid}}
-        bounds.update(dict.fromkeys(js.values(), hmax))
-        for (a, b), d in grid.items():
-            total[(js[a], hs[b])] = d
-    return CharSeries(bounds, total)
+    for (jf, _), (cols, _) in sectors.items():
+        bounds.update(dict.fromkeys([jf + a for a in cols], hmax))
+    return CharSeries._from_sectors(
+        bounds, {sector: grid for sector, (_, grid) in sectors.items() if grid})
 
 
 def char_flow(ch: CharSeries, ell: int, *, require=None) -> CharSeries:
@@ -362,8 +438,13 @@ def char_flow(ch: CharSeries, ell: int, *, require=None) -> CharSeries:
     for j_src, b in ch.col_hmax.items():
         j_tgt = j_src - ell
         bounds[j_tgt] = b + ell * j_src - half
-    coeffs = {(j - ell, h + ell * j - half): d for (j, h), d in ch.coeffs.items()}
-    out = CharSeries(bounds, coeffs)
+    # (jf + a, hf + b) moves to (jf + a - ell, hf' + b + ell*a + k), where
+    # hf + ell*jf - ell(ell+1)/2 = hf' + k with hf' in [0, 1)
+    sectors = {}
+    for (jf, hf), grid in ch._sectors.items():
+        hf_tgt, k = _split(hf + ell * jf - half)
+        sectors[(jf, hf_tgt)] = {(a - ell, b + ell * a + k): d for (a, b), d in grid.items()}
+    out = CharSeries._from_sectors(bounds, sectors)
     if require is not None:
         want_hmax = Fraction(require[0])
         jmin, jmax = _parse_window(require[1])
@@ -378,5 +459,9 @@ def char_flow(ch: CharSeries, ell: int, *, require=None) -> CharSeries:
 def char_dual(ch: CharSeries) -> CharSeries:
     """Regrade by the restricted dual: ``(j, h) -> (1 - j, h)``."""
     bounds = {1 - j: b for j, b in ch.col_hmax.items()}
-    coeffs = {(1 - j, h): d for (j, h), d in ch.coeffs.items()}
-    return CharSeries(bounds, coeffs)
+    sectors = {}
+    for (jf, hf), grid in ch._sectors.items():
+        # 1 - (jf + a) = jd + (c - a) with jd in [0, 1) and c an integer
+        jd, c = _split(1 - jf)
+        sectors[(jd, hf)] = {(c - a, b): d for (a, b), d in grid.items()}
+    return CharSeries._from_sectors(bounds, sectors)

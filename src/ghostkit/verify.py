@@ -311,6 +311,7 @@ def homalg_suite(cfg: Config | None = None) -> list[Check]:
 def characters_suite(cfg: Config | None = None) -> list[Check]:
     cfg = cfg or Config()
     hmax, window = cfg.hmax, cfg.jwindow
+    characters.oracle_weight(hmax)  # refuse before anything is built
     catalog = sequence_catalog(cfg.catalog_bound)
     probe_mods = [vac(0), typ(Fraction(1, 3), 0), bstr(3, 0), tstr(4, -2), proj(1)]
     wide = (window[0] - 3, window[1] + 3)

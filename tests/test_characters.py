@@ -1,19 +1,28 @@
 import functools
+import hashlib
 from fractions import Fraction
 
 import pytest
 
 from ghostkit import characters
 from ghostkit.characters import (
-    MAX_TABLE_WEIGHT, MAX_WINDOW_WIDTH, CharSeries, TruncationError, _enumerate_free_monomials,
-    char_dual, char_flow, character, free_monomial_counts, pbw_character_oracle,
+    MAX_ORACLE_WEIGHT, MAX_TABLE_WEIGHT, MAX_WINDOW_WIDTH, CharSeries, TruncationError,
+    _enumerate_free_monomials, char_dual, char_flow, character, free_monomial_counts,
+    pbw_character_oracle,
 )
+from ghostkit.config import Config
 from ghostkit.functors import dual_restricted, flow
+from ghostkit.grammar import parse_module_expr
 from ghostkit.modules import bstr, proj, sequence_catalog, tstr, typ, vac
+from ghostkit.verify import characters_suite, pool_modules
 from ghostkit.weights import flow_weight, weight
 
 THIRD = Fraction(1, 3)
 WINDOW = (-6, 6)
+
+# SHA-256 of every character of the default pool at hmax 8 on WINDOW, and of
+# the flows (|ell| <= 3) and duals of the characters suite's five probes
+CHARACTER_TABLE_SHA256 = "f6865bd50b24014703ca0452c961104103ba71db7ae973760a0a8b2a4676f06f"
 
 
 def test_free_monomial_counts_small():
@@ -73,6 +82,22 @@ def test_relaxed_oracle_hand_values():
         assert ch.coeff(j, 0) == 1
         assert ch.coeff(j, 1) == 2
     assert Fraction(1, 2) not in cols
+
+
+def test_oracle_weight_limit_is_checked_before_enumerating(monkeypatch):
+    def no_enumeration(*args):
+        raise AssertionError("monomials were enumerated")
+
+    def no_character(*args):
+        raise AssertionError("a character was computed")
+
+    monkeypatch.setattr(characters, "_enumerate_free_monomials", no_enumeration)
+    monkeypatch.setattr(characters, "character", no_character)
+    too_big = MAX_ORACLE_WEIGHT + 1
+    with pytest.raises(ValueError, match=f"hmax={too_big} .* above the limit {MAX_ORACLE_WEIGHT}"):
+        pbw_character_oracle(vac(0), too_big, WINDOW)
+    with pytest.raises(ValueError, match=f"hmax={too_big} "):
+        characters_suite(Config(hmax=Fraction(too_big)))
 
 
 def test_oracle_rejects_twisted_and_composite():
@@ -232,3 +257,35 @@ def test_series_compare_and_add_on_the_common_region():
     total = a + b
     assert dict(total.col_hmax) == {F(0): F(1), F(1): F(4)}
     assert dict(total.coeffs) == {(F(0), F(1)): 6, (F(1), F(4)): 2}
+
+
+def _table_digest_input(tag, ch):
+    return repr((tag, sorted(ch.col_hmax.items()), list(ch.entries()))).encode()
+
+
+def test_character_table_is_pinned():
+    pool = pool_modules()
+    assert len(pool) == 119
+    probes = [vac(0), typ(THIRD, 0), bstr(3, 0), tstr(4, -2), proj(1)]
+    h = hashlib.sha256()
+    for mod in pool:
+        h.update(_table_digest_input(str(mod), character(mod, 8, WINDOW)))
+    for mod in probes:
+        ch = character(mod, 8, WINDOW)
+        for ell in range(-3, 4):
+            h.update(_table_digest_input(f"flow {mod} {ell}", char_flow(ch, ell)))
+        h.update(_table_digest_input(f"dual {mod}", char_dual(ch)))
+    assert h.hexdigest() == CHARACTER_TABLE_SHA256
+
+
+def test_sector_form_round_trips_and_composes():
+    # vacuum flows (V[1] and the factors of B[3,-1]) and two relaxed sectors
+    ch = character(parse_module_expr("V[1] + W[1/3,0] + 2*W[1/3,1] + B[3,-1]"), 8, WINDOW)
+    assert {(j % 1, h % 1) for j, h, _ in ch.entries()} == {
+        (0, 0), (THIRD, 0), (THIRD, THIRD)}
+    assert all(type(j) is Fraction and type(h) is Fraction for j, h, _ in ch.entries())
+    assert CharSeries(ch.col_hmax, ch.coeffs) == ch
+    for a, b in ((1, 2), (-3, 1), (2, -2)):
+        assert char_flow(char_flow(ch, a), b) == char_flow(ch, a + b), (a, b)
+    assert char_dual(char_dual(ch)) == ch
+    assert char_dual(ch).coeffs == {(1 - j, h): d for (j, h), d in ch.coeffs.items()}

@@ -387,6 +387,22 @@ def test_verify_pool_bounds_above_limit(tmp_path, capsys, monkeypatch, flags, cf
     assert f"at most max_length={verify.MAX_POOL_LENGTH}, max_flow={verify.MAX_POOL_FLOW}" in err
 
 
+def test_verify_characters_hmax_above_oracle_limit(tmp_path, capsys, monkeypatch):
+    def no_build(*args):
+        raise AssertionError("the characters suite started building")
+
+    monkeypatch.setattr(verify, "sequence_catalog", no_build)
+    monkeypatch.setattr(characters, "character", no_build)
+    monkeypatch.setattr(characters, "_enumerate_free_monomials", no_build)
+    cfg = tmp_path / "ghostkit.cfg"
+    cfg.write_text("hmax = 40\n")
+    code, out, err = run(capsys, "--config", str(cfg), "verify", "--suite", "characters")
+    assert code == 1
+    assert out == ""
+    assert f"hmax=40 counts monomials to weight 40, above the limit " \
+           f"{characters.MAX_ORACLE_WEIGHT}" in err
+
+
 def test_rigidity_huge_ell_is_named(capsys, monkeypatch):
     def no_series(*args, **kwargs):
         raise AssertionError("a hypergeometric series was summed")
