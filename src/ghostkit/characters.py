@@ -16,19 +16,23 @@ Two independent routes compute the untwisted simple characters:
 
 The fast route shares no counting code with the oracle.  Its monomial
 counts come from one module-level table (:func:`free_monomial_counts`)
-that stores, per weight, suffix sums over ghost charge, so a vacuum column
-entry is one lookup and a relaxed one is the row total.  The table is
-rebuilt only when a larger weight is needed, and never beyond
-:data:`MAX_TABLE_WEIGHT`: a character that would need more raises
-:class:`ValueError` before anything is allocated; so does a ghost window
-wider than :data:`MAX_WINDOW_WIDTH`.  The oracle refuses weights above
-:data:`MAX_ORACLE_WEIGHT`, where its enumeration would run for seconds.
+that stores, per ghost charge, suffix sums over charge by weight, so a
+whole column of a vacuum-type simple is one slice of one row and a relaxed
+column is a slice of the totals.  The table is rebuilt only when a larger
+weight is needed, and never beyond :data:`MAX_TABLE_WEIGHT`: a character
+that would need more raises :class:`ValueError` before anything is
+allocated; so does a ghost window wider than :data:`MAX_WINDOW_WIDTH`.  The
+oracle refuses weights above :data:`MAX_ORACLE_WEIGHT`, where its
+enumeration would run for seconds.
 
 All weights of a flowed simple share their fractional parts (its sector),
 so a :class:`CharSeries` keeps, per sector, a grid keyed by integer offsets
-within it.  Sums, comparisons and the flow and dual transforms work on
-those grids with one ``Fraction`` step per column or sector; ``Fraction``
-keys are built only when the entries are read out.
+within it.  The columns of all composition factors in one sector end at the
+same conformal weight, so :func:`character` adds them column by column with
+their tops aligned and builds each sector's grid once.  Sums, comparisons
+and the flow and dual transforms work on those grids with one ``Fraction``
+step per column or sector; ``Fraction`` keys are built only when the
+entries are read out.
 
 Characters of non-simple indecomposables are the sums of their composition
 factors' characters (graded dimension ignores the filtration), and
@@ -46,7 +50,7 @@ import math
 from collections import namedtuple
 from collections.abc import Iterator, Mapping
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, repeat
 from operator import add
 
 from .modules import Module, Vac, composition_factors, is_simple
@@ -186,8 +190,8 @@ def _parse_window(jwindow) -> tuple[Fraction, Fraction]:
 
 # The largest weight of the shared monomial table.  The table lives for the
 # whole process and its build time grows like the cube of the weight; at
-# this weight the build takes about 10 s and 47 MB (Python 3.11, one core
-# of an Intel Xeon server).
+# this weight the build takes about 10 s with a peak of 39 MB (Python 3.11,
+# one core of an Intel Xeon server).
 MAX_TABLE_WEIGHT = 550
 
 # The widest ghost window.  A character keeps one column per integer ghost
@@ -196,9 +200,12 @@ MAX_TABLE_WEIGHT = 550
 # takes about 10 ms and 1 MB.  The suites need width 18 at the defaults.
 MAX_WINDOW_WIDTH = 1000
 
-# Per weight ``w``, the suffix sums over ghost charge: entry ``i`` is the
-# number of monomials of weight ``w`` and ghost charge at least ``i - w``.
-# Replaced, never mutated, when a larger weight is asked for.
+# The suffix sums over ghost charge, stored by charge: for a table of weight
+# ``W``, row ``g + W`` (``g`` in ``-W..W``) holds at index ``w`` (``0..W``)
+# the number of monomials of weight ``w`` and ghost charge at least ``g``.
+# Row 0 is therefore the totals per weight; a row reads the total at ``w``
+# where ``g < -w`` and 0 where ``g > w``.  A character column is one slice
+# of one row.  Replaced, never mutated, when a larger weight is asked for.
 _SUFFIX: tuple[tuple[int, ...], ...] = ((1,),)
 
 
@@ -206,62 +213,58 @@ class MonomialCounts(Mapping):
     """Read-only view of the shared monomial table up to ``max_weight``.
 
     Keys are ``(ghost, weight)`` pairs with a nonzero count; the counts are
-    differences of adjacent suffix sums.
+    differences of adjacent suffix sums.  ``rows`` is the table itself, laid
+    out as :data:`_SUFFIX` describes, and may reach past ``max_weight``.
     """
 
-    __slots__ = ("_suffix", "max_weight")
+    __slots__ = ("rows", "max_weight")
 
-    def __init__(self, suffix: tuple[tuple[int, ...], ...], max_weight: int):
-        self._suffix = suffix
+    def __init__(self, rows: tuple[tuple[int, ...], ...], max_weight: int):
+        self.rows = rows
         self.max_weight = max_weight
 
     def __getitem__(self, key: tuple[int, int]) -> int:
         g, w = key
         if 0 <= w <= self.max_weight and -w <= g <= w:
-            row = self._suffix[w]
-            i = g + w
-            c = row[i] - (row[i + 1] if i < 2 * w else 0)
+            rows = self.rows
+            i = g + len(rows) // 2
+            c = rows[i][w] - (rows[i + 1][w] if g < w else 0)
             if c:
                 return c
         raise KeyError(key)
 
     def __iter__(self) -> Iterator[tuple[int, int]]:
+        rows, top = self.rows, len(self.rows) // 2
         for w in range(self.max_weight + 1):
-            row = self._suffix[w] + (0,)
-            for i in range(2 * w + 1):
-                if row[i] != row[i + 1]:
-                    yield i - w, w
+            for g in range(-w, w + 1):
+                if rows[g + top][w] != (rows[g + top + 1][w] if g < w else 0):
+                    yield g, w
 
     def __len__(self) -> int:
         return sum(1 for _ in self)
 
-    def total(self, w: int) -> int:
-        """Number of monomials of weight ``w``, any ghost charge."""
-        if not 0 <= w <= self.max_weight:
-            raise KeyError(w)
-        return self._suffix[w][0]
-
-    def at_least(self, j: int, w: int) -> int:
-        """Number of monomials of weight ``w`` and ghost charge ``>= j``."""
-        if not 0 <= w <= self.max_weight:
-            raise KeyError(w)
-        return self._suffix[w][max(j + w, 0)] if j <= w else 0
-
 
 def _build_suffix_table(max_weight: int) -> tuple[tuple[int, ...], ...]:
-    # Row w holds the counts at ghost charges -w..w.  Each generator (n, s),
-    # taken in turn with unbounded multiplicity, adds row w - n shifted by
-    # s to row w (an unbounded knapsack over weight).
-    rows = [[0] * (2 * w + 1) for w in range(max_weight + 1)]
-    rows[0][0] = 1
+    # Row w of ``counts`` holds the counts at ghost charges -w..w.  Each
+    # generator (n, s), taken in turn with unbounded multiplicity, adds row
+    # w - n shifted by s to row w (an unbounded knapsack over weight).  Each
+    # row is then replaced by its suffix sums, padded with its total below
+    # charge -w and with 0 above charge w, and the rows are transposed into
+    # rows by charge.
+    counts = [[0] * (2 * w + 1) for w in range(max_weight + 1)]
+    counts[0][0] = 1
     for n in range(1, max_weight + 1):
         for s in (1, -1):
             lo = n + s
             for w in range(n, max_weight + 1):
-                row, prev = rows[w], rows[w - n]
+                row, prev = counts[w], counts[w - n]
                 hi = lo + len(prev)
                 row[lo:hi] = map(add, row[lo:hi], prev)
-    return tuple(tuple(accumulate(reversed(row)))[::-1] for row in rows)
+    for w, row in enumerate(counts):
+        suffix = list(accumulate(reversed(row)))[::-1]
+        pad = max_weight - w
+        counts[w] = [suffix[0]] * pad + suffix + [0] * pad
+    return tuple(zip(*counts))
 
 
 def free_monomial_counts(max_weight: int) -> MonomialCounts:
@@ -279,7 +282,7 @@ def free_monomial_counts(max_weight: int) -> MonomialCounts:
             f"characters need the monomial table to weight {max_weight}, above the "
             f"limit {MAX_TABLE_WEIGHT}; lower hmax or the flows")
     table = _SUFFIX
-    if max_weight >= len(table):
+    if max_weight > len(table) // 2:
         table = _SUFFIX = _build_suffix_table(max_weight)
     return MonomialCounts(table, max_weight)
 
@@ -386,19 +389,34 @@ def _layout(simple: Module, hmax: Fraction, jmin: Fraction, jmax: Fraction) -> _
     return _Layout(vacuum, ell, (jf, hf), cols, off0, bmax, max(needed, 0))
 
 
-def _simple_character(layout: _Layout, free: MonomialCounts) -> dict[tuple[int, int], int]:
-    """The nonzero integer-grid entries of the simple laid out by
-    :func:`_layout`, read from a table of at least the weight it needs."""
+def _simple_character(layout: _Layout, rows: tuple[tuple[int, ...], ...]) -> dict:
+    """The nonempty columns of the simple laid out by :func:`_layout`, each
+    as a run ``a -> (lowest b, counts)`` of nonzero entries ending at
+    ``bmax``, read from a table (:data:`_SUFFIX` layout) of at least the
+    weight it needs."""
     vacuum, ell, _, cols, off0, bmax, _ = layout
-    coeffs: dict[tuple[int, int], int] = {}
+    top = len(rows) // 2
+    runs = {}
     for a in cols:
         off = off0 + ell * a
-        src = a + ell
-        for hp in range(bmax - off + 1):
-            d = free.at_least(src, hp) if vacuum else free.total(hp)
-            if d:
-                coeffs[(a, hp + off)] = d
-    return coeffs
+        # source weights 0..n-1; a vacuum column reads the charges >= a + ell,
+        # which is nonzero from weight a + ell on, a relaxed one the totals
+        n = bmax - off + 1
+        lo = max(a + ell, 0) if vacuum else 0
+        if lo < n:
+            row = rows[max(a + ell + top, 0)] if vacuum else rows[0]
+            runs[a] = (lo + off, row[lo:n])
+    return runs
+
+
+def _add_runs(x: tuple, y: tuple) -> tuple[int, list[int]]:
+    # the sum of two runs that end at the same b: add with their tops aligned
+    if x[0] > y[0]:
+        x, y = y, x
+    (lo, longer), (hi, shorter) = x, y
+    out = list(longer)
+    out[hi - lo:] = map(add, out[hi - lo:], shorter)
+    return lo, out
 
 
 def character(x, hmax=8, jwindow=(-6, 6)) -> CharSeries:
@@ -408,18 +426,24 @@ def character(x, hmax=8, jwindow=(-6, 6)) -> CharSeries:
     layouts = [(_layout(simple, hmax, jmin, jmax), k)
                for simple, k in composition_factors(x).items()]
     # one table for every factor, so its weight limit is checked before any build
-    free = free_monomial_counts(max((layout.weight for layout, _ in layouts), default=0))
-    # sector -> (column indices, integer-grid entries)
+    rows = free_monomial_counts(max((layout.weight for layout, _ in layouts), default=0)).rows
+    # sector -> (column indices, column a -> run); the runs of a sector all
+    # end at its bmax, so the factors add column by column
     sectors: dict[tuple[Fraction, Fraction], tuple[range, dict]] = {}
     for layout, k in layouts:
-        grid = sectors.setdefault(layout.sector, (layout.cols, {}))[1]
-        for key, d in _simple_character(layout, free).items():
-            grid[key] = grid.get(key, 0) + k * d
+        runs = sectors.setdefault(layout.sector, (layout.cols, {}))[1]
+        for a, (lo, counts) in _simple_character(layout, rows).items():
+            run = (lo, counts if k == 1 else [k * d for d in counts])
+            runs[a] = _add_runs(runs[a], run) if a in runs else run
     bounds: dict[Fraction, Fraction] = {}
-    for (jf, _), (cols, _) in sectors.items():
+    grids = {}
+    for (jf, hf), (cols, runs) in sectors.items():
         bounds.update(dict.fromkeys([jf + a for a in cols], hmax))
-    return CharSeries._from_sectors(
-        bounds, {sector: grid for sector, (_, grid) in sectors.items() if grid})
+        if runs:
+            grid = grids[(jf, hf)] = {}
+            for a, (lo, counts) in runs.items():
+                grid.update(zip(zip(repeat(a), range(lo, lo + len(counts))), counts))
+    return CharSeries._from_sectors(bounds, grids)
 
 
 def char_flow(ch: CharSeries, ell: int, *, require=None) -> CharSeries:

@@ -14,17 +14,15 @@ spectral flow.  On labels:
 
 The closed forms, the unique re-canonicalizations of these factor rules,
 are the label methods ``flowed``, ``conjugated`` and ``starred``; the
-functors here lift them to formal sums.  Tests cross-check them against the
-word transformation for all string lengths up to 8.
+functors here lift them to formal sums.  The tests cross-check them against
+the word transformation for all string lengths up to 8.
 """
 
 from __future__ import annotations
 
 from operator import methodcaller
 
-from .modules import (
-    BOTTOM, TOP, ExactSequence, FormalSum, Module, Vac, as_sum, bstr, string_rows, tstr,
-)
+from .modules import FormalSum
 
 
 def _lift(fn):
@@ -56,34 +54,3 @@ def dual_star(x):
 def dual_tensor(x):
     """The rigid tensor dual: restricted dual followed by one unit of flow."""
     return flow(dual_restricted(x), 1)
-
-
-def transform_word(mod: Module, *, flip_flows: bool, swap_rows: bool) -> Module:
-    """Re-canonicalize a simple or string module from its transformed word.
-
-    This is the raw factor/row rule underlying :func:`conjugate`
-    (``flip_flows`` only) and :func:`dual_restricted` (both flags); it exists
-    so tests can check the closed forms against first principles.
-    """
-    word = list(string_rows(mod))
-    if flip_flows:
-        word = [(-1 - f, r) for f, r in word]
-    if swap_rows:
-        word = [(f, TOP if r == BOTTOM else BOTTOM) for f, r in word]
-    word.sort()
-    flows = [f for f, _ in word]
-    if flows != list(range(flows[0], flows[0] + len(flows))):
-        raise ValueError("transformed word is not a consecutive chain")
-    if len(word) == 1:
-        return Vac(flows[0])
-    first_row = word[0][1]
-    return bstr(len(word), flows[0]) if first_row == BOTTOM else tstr(len(word), flows[0])
-
-
-def sequence_image(functor, seq, *, contravariant: bool = False):
-    """Image of an exact sequence under an exact functor; contravariant
-    functors swap the sub and quotient terms."""
-    sub, mid, quot = functor(seq.sub), functor(seq.middle), functor(seq.quotient)
-    if contravariant:
-        sub, quot = quot, sub
-    return ExactSequence(seq.name, as_sum(sub), as_sum(mid), as_sum(quot), seq.tag)

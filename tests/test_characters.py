@@ -7,13 +7,15 @@ import pytest
 from ghostkit import characters
 from ghostkit.characters import (
     MAX_ORACLE_WEIGHT, MAX_TABLE_WEIGHT, MAX_WINDOW_WIDTH, CharSeries, TruncationError,
-    _enumerate_free_monomials, char_dual, char_flow, character, free_monomial_counts,
+    _build_suffix_table, _enumerate_free_monomials, char_dual, char_flow, character, free_monomial_counts,
     pbw_character_oracle,
 )
 from ghostkit.config import Config
 from ghostkit.functors import dual_restricted, flow
 from ghostkit.grammar import parse_module_expr
-from ghostkit.modules import bstr, proj, sequence_catalog, tstr, typ, vac
+from ghostkit.modules import (
+    bstr, composition_factors, proj, sequence_catalog, tstr, typ, vac,
+)
 from ghostkit.verify import characters_suite, pool_modules
 from ghostkit.weights import flow_weight, weight
 
@@ -44,6 +46,23 @@ def test_shared_table_matches_enumeration_in_any_order(monkeypatch):
         assert free_monomial_counts(w) == _enumerate_free_monomials(w), w
     with pytest.raises(TypeError):
         free_monomial_counts(3)[(0, 0)] = 7
+
+
+def test_table_rows_by_charge_match_enumeration():
+    for top in range(11):
+        counts = _enumerate_free_monomials(top)
+        rows = _build_suffix_table(top)
+        assert len(rows) == 2 * top + 1
+        for g in range(-top, top + 1):
+            at_least = tuple(sum(c for (h, w), c in counts.items() if w == v and h >= g)
+                             for v in range(top + 1))
+            assert rows[g + top] == at_least, (top, g)
+        # below charge -w a row reads the total at w, above charge w it reads 0
+        totals = tuple(sum(c for (_, w), c in counts.items() if w == v) for v in range(top + 1))
+        assert all(rows[g + top][w] == totals[w]
+                   for w in range(top + 1) for g in range(-top, -w))
+        assert all(rows[g + top][w] == 0 for w in range(top + 1) for g in range(w + 1, top + 1))
+        assert rows[0] == totals
 
 
 def test_table_weight_limit_is_checked_before_building(monkeypatch):
@@ -119,6 +138,31 @@ def test_character_additivity_by_construction():
     parts = character(vac(0), 6, WINDOW) + character(vac(1), 6, WINDOW)
     assert ch == parts
     assert character(proj(0), 6, WINDOW).coeff(0, 0) == 2
+
+
+@pytest.mark.parametrize("hmax", (8, 30))
+def test_factor_columns_of_different_lengths_add_top_aligned(hmax):
+    # the vacuum-sector factors flow differently, so their columns start at
+    # different h; each factor is added on its own, once per multiplicity
+    x = parse_module_expr("3*B[4,-1] + 2*P[0] + V[2] + T[3,1] + 2*W[1/3,0] + W[1/3,1]")
+    window = (-9, 9)
+    factors = composition_factors(x)
+    assert max(factors.values()) > 1
+    chars = {simple: character(simple, hmax, window) for simple in factors}
+    assert len({min(ch.column_profile(0)) for ch in chars.values() if ch.column_profile(0)}) > 1
+    # ``+`` keeps the common columns, so factors are summed per column set
+    sums: dict[frozenset, CharSeries] = {}
+    for simple, k in factors.items():
+        ch = chars[simple]
+        for _ in range(k):
+            cols = frozenset(ch.col_hmax)
+            sums[cols] = sums[cols] + ch if cols in sums else ch
+    assert len(sums) == 2
+    col_hmax, coeffs = {}, {}
+    for ch in sums.values():
+        col_hmax.update(ch.col_hmax)
+        coeffs.update(ch.coeffs)
+    assert character(x, hmax, window) == CharSeries(col_hmax, coeffs)
 
 
 def test_character_additivity_on_catalog():
