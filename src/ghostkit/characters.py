@@ -15,9 +15,10 @@ Two independent routes compute the untwisted simple characters:
   and regrades columns through the spectral-flow weight map.
 
 The fast route shares no counting code with the oracle.  Its monomial
-counts come from one module-level table (:func:`free_monomial_counts`)
-that stores, per ghost charge, suffix sums over charge by weight, so a
-whole column of a vacuum-type simple is one slice of one row and a relaxed
+counts come from one module-level table, which
+:func:`free_monomial_counts` returns as it is: a tuple of rows, one per
+ghost charge, each holding suffix sums over charge by weight, so a whole
+column of a vacuum-type simple is one slice of one row and a relaxed
 column is a slice of the totals.  The table is rebuilt only when a larger
 weight is needed, and never beyond :data:`MAX_TABLE_WEIGHT`: a character
 that would need more raises :class:`ValueError` before anything is
@@ -209,41 +210,6 @@ MAX_WINDOW_WIDTH = 1000
 _SUFFIX: tuple[tuple[int, ...], ...] = ((1,),)
 
 
-class MonomialCounts(Mapping):
-    """Read-only view of the shared monomial table up to ``max_weight``.
-
-    Keys are ``(ghost, weight)`` pairs with a nonzero count; the counts are
-    differences of adjacent suffix sums.  ``rows`` is the table itself, laid
-    out as :data:`_SUFFIX` describes, and may reach past ``max_weight``.
-    """
-
-    __slots__ = ("rows", "max_weight")
-
-    def __init__(self, rows: tuple[tuple[int, ...], ...], max_weight: int):
-        self.rows = rows
-        self.max_weight = max_weight
-
-    def __getitem__(self, key: tuple[int, int]) -> int:
-        g, w = key
-        if 0 <= w <= self.max_weight and -w <= g <= w:
-            rows = self.rows
-            i = g + len(rows) // 2
-            c = rows[i][w] - (rows[i + 1][w] if g < w else 0)
-            if c:
-                return c
-        raise KeyError(key)
-
-    def __iter__(self) -> Iterator[tuple[int, int]]:
-        rows, top = self.rows, len(self.rows) // 2
-        for w in range(self.max_weight + 1):
-            for g in range(-w, w + 1):
-                if rows[g + top][w] != (rows[g + top + 1][w] if g < w else 0):
-                    yield g, w
-
-    def __len__(self) -> int:
-        return sum(1 for _ in self)
-
-
 def _build_suffix_table(max_weight: int) -> tuple[tuple[int, ...], ...]:
     # Row w of ``counts`` holds the counts at ghost charges -w..w.  Each
     # generator (n, s), taken in turn with unbounded multiplicity, adds row
@@ -267,14 +233,16 @@ def _build_suffix_table(max_weight: int) -> tuple[tuple[int, ...], ...]:
     return tuple(zip(*counts))
 
 
-def free_monomial_counts(max_weight: int) -> MonomialCounts:
+def free_monomial_counts(max_weight: int) -> tuple[tuple[int, ...], ...]:
     """Count monomials in the free negative modes by (ghost, weight).
 
     Generators: one ghost-raising and one ghost-lowering mode at every
     positive integer weight, each of unbounded multiplicity.  All callers
-    share one table, rebuilt only when a larger weight is asked for; the
-    result is a read-only view of it cut at ``max_weight``.  Raises
-    :class:`ValueError` above :data:`MAX_TABLE_WEIGHT`, before allocating.
+    share one table, rebuilt only when a larger weight is asked for, and
+    the result is that table itself: suffix sums over ghost charge, one row
+    per charge, laid out as :data:`_SUFFIX` describes, of weight at least
+    ``max_weight`` (it may reach further).  Raises :class:`ValueError`
+    above :data:`MAX_TABLE_WEIGHT`, before allocating.
     """
     global _SUFFIX
     if max_weight > MAX_TABLE_WEIGHT:
@@ -284,7 +252,7 @@ def free_monomial_counts(max_weight: int) -> MonomialCounts:
     table = _SUFFIX
     if max_weight > len(table) // 2:
         table = _SUFFIX = _build_suffix_table(max_weight)
-    return MonomialCounts(table, max_weight)
+    return table
 
 
 def _enumerate_free_monomials(max_weight: int) -> dict[tuple[int, int], int]:
@@ -426,7 +394,7 @@ def character(x, hmax=8, jwindow=(-6, 6)) -> CharSeries:
     layouts = [(_layout(simple, hmax, jmin, jmax), k)
                for simple, k in composition_factors(x).items()]
     # one table for every factor, so its weight limit is checked before any build
-    rows = free_monomial_counts(max((layout.weight for layout, _ in layouts), default=0)).rows
+    rows = free_monomial_counts(max((layout.weight for layout, _ in layouts), default=0))
     # sector -> (column indices, column a -> run); the runs of a sector all
     # end at its bmax, so the factors add column by column
     sectors: dict[tuple[Fraction, Fraction], tuple[range, dict]] = {}

@@ -302,6 +302,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.format == "csv" and args.command != "char":
+        print(f"error: --format csv applies only to char, not to {args.command}",
+              file=sys.stderr)
+        return 1
     try:
         cfg = config.load(args.config)
     except (OSError, ValueError) as exc:

@@ -296,14 +296,6 @@ def w_zero_plus(ell: int = 0) -> Module:
     return TStr(2, ell - 1)
 
 
-def sort_key(mod: Module) -> tuple:
-    """The canonical order of labels: by family, then by their fields, with
-    relaxed labels ordered by coset value."""
-    if isinstance(mod, _Label):
-        return mod._key
-    raise TypeError(f"not a canonical module: {mod!r}")
-
-
 def is_simple(mod: Module) -> bool:
     return isinstance(mod, (Vac, Typ))
 
@@ -380,9 +372,6 @@ class FormalSum:
 
     def modules(self) -> Iterator[Module]:
         return (m for m, _ in self._terms)
-
-    def is_zero(self) -> bool:
-        return not self._terms
 
     def flowed(self, ell: int) -> "FormalSum":
         """Spectral flow by ``ell``.  Flowing every term by the same amount
@@ -473,13 +462,6 @@ class LoewyWord:
 
     entries: tuple[tuple[int, str], ...]
     diamond: bool = False
-
-
-def string_rows(mod: Module) -> tuple[tuple[int, str], ...]:
-    """The ``(flow, row)`` chain for a simple or string module."""
-    if isinstance(mod, Proj):
-        raise TypeError(f"{mod} has no chain word")
-    return mod.rows()
 
 
 def loewy(mod: Module) -> LoewyWord:

@@ -100,12 +100,12 @@ def rigidity_constant(j: float, w1: float = 1.0, *, ell: int = 0) -> complex:
     except OverflowError:
         prefactor = math.inf
     _check_range(prefactor, "the prefactor", ell, w1)
-    minus_one_pow = cmath.exp(1j * math.pi * j)
-    phase = (cmath.exp(2j * math.pi * j) - 1.0) ** 2
-    trig = math.pi ** 2 * (j - 1.0) / math.sin(math.pi * j) ** 2
+    # (-1)^j (e^{2 pi i j} - 1)^2 / sin^2(pi j) = -4 e^{3 pi i j}: in closed
+    # form, since the two sides of the quotient vanish together as j -> 0
+    phase = -4.0 * cmath.exp(3j * math.pi * j)
     f_left = hyp2f1(-j, j, 1.0, (w2 - w1) / w2)
     f_right = hyp2f1(1.0 - j, j, 1.0, w1 / w2)
-    value = minus_one_pow * prefactor * phase * (w2 ** (2 * j - 1)) * trig \
+    value = phase * prefactor * (w2 ** (2 * j - 1)) * math.pi ** 2 * (j - 1.0) \
         * f_left * f_right
     _check_range(value, "the constant", ell, w1, sys.float_info.min)
     # a subnormal prefactor leaves too few digits even in a normal constant

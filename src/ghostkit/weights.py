@@ -53,8 +53,3 @@ def coset_add(a, b) -> Fraction:
 def coset_str(c) -> str:
     """Serialize a coset as ``"p/q"`` (or ``"0"`` for the zero coset)."""
     return str(Fraction(c))
-
-
-def parse_coset(text: str) -> Fraction:
-    """Parse a ``"p/q"`` (or integer) string into a reduced coset in ``[0, 1)``."""
-    return coset(Fraction(text.strip()))

@@ -93,6 +93,18 @@ def test_char_json_and_csv(capsys):
     assert "0,0,1" in lines
 
 
+@pytest.mark.parametrize("command, argv", [
+    ("fuse", ["fuse", "B[3,0]", "B[3,0]", "--format", "csv"]),
+    ("verify", ["--format", "csv", "verify", "--suite", "numerics"]),
+])
+def test_csv_outside_char_is_refused(capsys, command, argv):
+    # only char has a CSV form
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert f"csv applies only to char, not to {command}" in err
+
+
 def test_loewy_text_and_json(capsys):
     code, out, _ = run(capsys, "loewy", "T[5,0]")
     assert code == 0
@@ -460,6 +472,14 @@ def test_rigidity_in_range_value_is_kept(capsys):
     code, out, _ = run(capsys, "rigidity", "--ell", "5", "--w1", "0.5")
     assert code == 0
     assert "|I|=1.130744634372e-12" in out
+
+
+@pytest.mark.parametrize("j", ["1e-160", "1e-170"])
+def test_rigidity_near_zero_coset_is_computed(capsys, j):
+    # the constant tends to 4 pi^2 as j -> 0, where sin(pi*j)**2 underflows
+    code, out, err = run(capsys, "rigidity", "--j", j)
+    assert code == 0, err
+    assert "|I|=3.947841760436e+01" in out
 
 
 @pytest.mark.parametrize("flags, what", [

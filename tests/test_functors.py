@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 from ghostkit.functors import conjugate, dual_restricted, dual_star, dual_tensor, flow
 from ghostkit.modules import (
     BOTTOM, TOP, BStr, ExactSequence, FormalSum, Module, TStr, Vac, as_sum, bstr,
-    composition_factors, proj, sequence_catalog, string_rows, tstr, typ, vac,
+    composition_factors, proj, sequence_catalog, tstr, typ, vac,
     w_zero_minus, w_zero_plus,
 )
 
@@ -23,7 +23,7 @@ def transform_word(mod: Module, *, flip_flows: bool, swap_rows: bool) -> Module:
     (``flip_flows`` only) and :func:`dual_restricted` (both flags), the
     first-principles reference for the closed forms of the label methods.
     """
-    word = list(string_rows(mod))
+    word = list(mod.rows())
     if flip_flows:
         word = [(-1 - f, r) for f, r in word]
     if swap_rows:

@@ -1,10 +1,11 @@
 import hashlib
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
 
 from ghostkit import fusion
-from ghostkit.functors import dual_star, dual_tensor, flow
+from ghostkit.functors import conjugate, dual_restricted, dual_star, dual_tensor, flow
 from ghostkit.fusion import (
     MAX_COMPACT_ENTRIES, GuardExtensionError, expand_projsum, fuse, fuse_detailed,
     groth_class, groth_product, unit_class,
@@ -165,6 +166,21 @@ def test_fusion_flow_compatibility():
 def test_fusion_star_compatibility():
     a, b = bstr(4, 0), bstr(3, -1)
     assert fuse(dual_star(a), dual_star(b)) == dual_star(fuse(a, b))
+
+
+def test_duals_are_monoidal_up_to_the_unit_twist():
+    # the tensor dual is monoidal; conjugation and the restricted dual send
+    # the unit V[0] to V[-1], so they are monoidal only up to one flow
+    pairs = list(combinations_with_replacement(pool_modules(4, 2), 2))
+    assert len(pairs) == 1540
+    for a, b in pairs:
+        ab = fuse(a, b)
+        assert dual_tensor(ab) == fuse(dual_tensor(a), dual_tensor(b)), (a, b)
+        for functor in (conjugate, dual_restricted):
+            assert functor(ab) == flow(fuse(functor(a), functor(b)), 1), (functor, a, b)
+    unit = vac(0)
+    assert conjugate(unit) == vac(-1)
+    assert conjugate(fuse(unit, unit)) != fuse(conjugate(unit), conjugate(unit))
 
 
 def test_rigidity_trace_objects():

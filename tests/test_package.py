@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 import ghostkit
@@ -52,3 +57,24 @@ def test_star_import_gives_every_public_name():
     namespace = {}
     exec("from ghostkit import *", namespace)
     assert set(PUBLIC) <= set(namespace)
+
+
+def test_submodules_load_only_the_standard_library():
+    # ghostkit has no runtime dependencies: importing every submodule in a
+    # fresh interpreter loads no top-level module outside the standard library
+    src = str(Path(ghostkit.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    script = ("import pkgutil, sys\n"
+              "before = set(sys.modules)\n"
+              "import ghostkit\n"
+              "for info in pkgutil.iter_modules(ghostkit.__path__):\n"
+              "    __import__('ghostkit.' + info.name)\n"
+              "print(' '.join(sorted(set(sys.modules) - before)))\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    loaded = proc.stdout.split()
+    assert {f"ghostkit.{mod.__name__.split('.')[1]}" for mod in SUBMODULES} <= set(loaded)
+    outside = {name.split(".")[0] for name in loaded} - {"ghostkit"}
+    assert outside <= sys.stdlib_module_names, sorted(outside - sys.stdlib_module_names)

@@ -85,6 +85,14 @@ def test_rigidity_constant_ell_only_scales():
     assert abs(base) > 1e-8 and abs(twisted) > 1e-8
 
 
+def test_rigidity_constant_tends_to_four_pi_squared_as_j_vanishes():
+    # -4 e^{3 pi i j} pi^2 (j - 1) -> 4 pi^2 at w1 = 1, ell = 0, where every
+    # other factor tends to 1; the phase and 1/sin^2 factors of the closed
+    # form vanish and blow up there, so they are never formed apart
+    for j in (1e-12, 1e-160, 1e-300):
+        assert math.isclose(abs(rigidity_constant(j)), 4 * math.pi ** 2, rel_tol=1e-9), j
+
+
 def test_rigidity_constant_domain():
     with pytest.raises(ValueError):
         rigidity_constant(0.0, 1.0)
