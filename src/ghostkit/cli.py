@@ -63,20 +63,12 @@ def _render_diamond(m: int) -> str:
     ])
 
 
-def _emit(args, payload: dict, text: str) -> None:
-    if args.format == "json":
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        print(text)
-
-
-def _cmd_fuse(args, cfg) -> int:
+def _cmd_fuse(args, cfg) -> tuple[dict, str]:
     from .fusion import fuse_detailed
 
     a = parse_module_expr(args.left)
     b = parse_module_expr(args.right)
-    strict = args.strict_guards or cfg.strict_guards
-    res = fuse_detailed(a, b, strict_guards=strict)
+    res = fuse_detailed(a, b, strict_guards=cfg.strict_guards)
     payload = {
         "input": [str(a), str(b)],
         "summands": _sum_json(res.total),
@@ -88,42 +80,36 @@ def _cmd_fuse(args, cfg) -> int:
     text = str(res.total)
     if res.guard_extended:
         text += "\nguard-extended: true"
-    _emit(args, payload, text)
-    return 0
+    return payload, text
 
 
-def _cmd_dim(args, cfg, op_name) -> int:
+def _cmd_dim(args, cfg) -> tuple[dict, str]:
     from . import homalg
 
     src = parse_module_expr(args.source)
     tgt = parse_module_expr(args.target)
-    dim = getattr(homalg, op_name)(src, tgt)
-    _emit(args, {"source": str(src), "target": str(tgt), "dim": dim}, str(dim))
-    return 0
+    dim = getattr(homalg, args.op)(src, tgt)
+    return {"source": str(src), "target": str(tgt), "dim": dim}, str(dim)
 
 
-def _cmd_char(args, cfg) -> int:
+def _cmd_char(args, cfg) -> tuple[dict, str]:
     mods = parse_module_expr(args.expr)
-    hmax = config.parse_fraction(args.hmax, "hmax") if args.hmax is not None else cfg.hmax
-    window = config.parse_jwindow(args.jwindow) if args.jwindow else cfg.jwindow
-    ch = characters.character(mods, hmax, window)
+    ch = characters.character(mods, cfg.hmax, cfg.jwindow)
     entries = [{"j": str(j), "h": str(h), "dim": d} for j, h, d in ch.entries()]
     payload = {
         "module": str(mods),
-        "hmax": str(hmax),
-        "jwindow": [str(window[0]), str(window[1])],
+        "hmax": str(cfg.hmax),
+        "jwindow": [str(cfg.jwindow[0]), str(cfg.jwindow[1])],
         "entries": entries,
     }
     if args.format == "csv":
-        lines = ["j,h,dim"] + [f"{e['j']},{e['h']},{e['dim']}" for e in entries]
-        print("\n".join(lines))
-        return 0
+        return payload, "\n".join(
+            ["j,h,dim"] + [f"{e['j']},{e['h']},{e['dim']}" for e in entries])
     text = "\n".join(f"{e['j']:>8s} {e['h']:>8s} {e['dim']:>6d}" for e in entries)
-    _emit(args, payload, text if text else "(empty)")
-    return 0
+    return payload, text or "(empty)"
 
 
-def _cmd_loewy(args, cfg) -> int:
+def _cmd_loewy(args, cfg) -> tuple[dict, str]:
     mod = parse_single_module(args.expr)
     word = loewy(mod)
     payload = {
@@ -132,11 +118,10 @@ def _cmd_loewy(args, cfg) -> int:
         "entries": [{"flow": f, "row": r} for f, r in word.entries],
     }
     text = _render_diamond(mod.m) if word.diamond else _render_chain(word.entries)
-    _emit(args, payload, text)
-    return 0
+    return payload, text
 
 
-def _cmd_dual(args, cfg) -> int:
+def _cmd_dual(args, cfg) -> tuple[dict, str]:
     from .functors import conjugate, dual_restricted, dual_star, dual_tensor, flow
 
     mods = parse_module_expr(args.expr)
@@ -146,28 +131,24 @@ def _cmd_dual(args, cfg) -> int:
         functor = {"star": dual_star, "restricted": dual_restricted,
                    "conjugate": conjugate, "tensor": dual_tensor}[args.functor]
         result = functor(mods)
-    payload = {"input": str(mods), "functor": args.functor, "result": str(result)}
-    _emit(args, payload, str(result))
-    return 0
+    return {"input": str(mods), "functor": args.functor, "result": str(result)}, str(result)
 
 
-def _cmd_cover(args, cfg, op_name) -> int:
+def _cmd_cover(args, cfg) -> tuple[dict, str]:
     from . import homalg
 
     mods = parse_module_expr(args.expr)
-    result = getattr(homalg, op_name)(mods)
+    result = getattr(homalg, args.op)(mods)
     payload = {"input": str(mods), "result": str(result),
                "summands": _sum_json(result)}
-    _emit(args, payload, str(result))
-    return 0
+    return payload, str(result)
 
 
-def _cmd_rigidity(args, cfg) -> int:
+def _cmd_rigidity(args, cfg) -> tuple[dict, str]:
     from . import rigidity
 
     value = rigidity.rigidity_constant(args.j, args.w1, ell=args.ell)
-    devs = rigidity.identity_report(args.j)
-    identities_pass = max(devs.values()) < 1e-10
+    identities_pass = rigidity.identities_hold(args.j)
     payload = {
         "j": args.j,
         "w1": args.w1,
@@ -179,15 +160,13 @@ def _cmd_rigidity(args, cfg) -> int:
     }
     text = (f"j={args.j} w1={args.w1} |I|={abs(value):.12e} "
             f"identities={'pass' if identities_pass else 'FAIL'}")
-    _emit(args, payload, text)
-    return 0
+    return payload, text
 
 
-def _cmd_catalog(args, cfg) -> int:
-    bound = args.bound if args.bound is not None else cfg.catalog_bound
-    catalog = sequence_catalog(bound)
+def _cmd_catalog(args, cfg) -> tuple[dict, str]:
+    catalog = sequence_catalog(cfg.catalog_bound)
     payload = {
-        "bound": bound,
+        "bound": cfg.catalog_bound,
         "sequences": [{
             "name": seq.name,
             "tag": seq.tag,
@@ -199,22 +178,16 @@ def _cmd_catalog(args, cfg) -> int:
     text = "\n".join(
         f"{seq.name}: 0 -> {seq.sub} -> {seq.middle} -> {seq.quotient} -> 0"
         for seq in catalog)
-    _emit(args, payload, text)
-    return 0
+    return payload, text
 
 
-def _cmd_verify(args, cfg) -> int:
+def _cmd_verify(args, cfg) -> tuple[dict, str]:
     from . import verify
 
     names = list(verify.SUITES) if args.suite == "all" else [args.suite]
-    if args.max_length is not None:
-        cfg = replace(cfg, pool_max_length=args.max_length)
-    if args.max_flow is not None:
-        cfg = replace(cfg, pool_max_flow=args.max_flow)
     results = verify.run_suites(names, cfg)
-    all_passed = all(c.passed for checks in results.values() for c in checks)
     payload = {
-        "passed": all_passed,
+        "passed": all(c.passed for checks in results.values() for c in checks),
         "suites": {
             name: [{"name": c.name, "passed": c.passed, "detail": c.detail,
                     "cases": c.cases} for c in checks]
@@ -227,8 +200,7 @@ def _cmd_verify(args, cfg) -> int:
             lines.append(f"[{name}] {c.line()}")
         status = "PASS" if all(c.passed for c in checks) else "FAIL"
         lines.append(f"suite {name}: {status}")
-    _emit(args, payload, "\n".join(lines))
-    return 0 if all_passed else 2
+    return payload, "\n".join(lines)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -248,53 +220,60 @@ def build_parser() -> argparse.ArgumentParser:
                                 parser_class=lambda **kw: argparse.ArgumentParser(
                                     parents=[common], **kw))
 
+    # each flag that sets a config key is stored under the key's name
     p = sub.add_parser("fuse", help="fusion product of two expressions")
     p.add_argument("left")
     p.add_argument("right")
-    p.add_argument("--strict-guards", action="store_true")
+    p.add_argument("--strict-guards", action="store_true", default=None)
+    p.set_defaults(run=_cmd_fuse)
 
-    p = sub.add_parser("hom", help="dimension of the Hom space")
-    p.add_argument("source")
-    p.add_argument("target")
-
-    p = sub.add_parser("ext", help="dimension of the first Ext group")
-    p.add_argument("source")
-    p.add_argument("target")
+    for name, op, help_text in (("hom", "hom_dim", "dimension of the Hom space"),
+                                ("ext", "ext_dim", "dimension of the first Ext group")):
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("source")
+        p.add_argument("target")
+        p.set_defaults(run=_cmd_dim, op=op)
 
     p = sub.add_parser("char", help="truncated graded character")
     p.add_argument("expr")
     p.add_argument("--hmax")
     p.add_argument("--jwindow", help="ghost window a:b (use --jwindow=-6:6 "
                                      "for negative bounds)")
+    p.set_defaults(run=_cmd_char)
 
     p = sub.add_parser("loewy", help="Loewy diagram of one module")
     p.add_argument("expr")
+    p.set_defaults(run=_cmd_loewy)
 
     p = sub.add_parser("dual", help="apply a duality or twist functor")
     p.add_argument("expr")
     p.add_argument("--functor", choices=("star", "restricted", "conjugate",
                                          "tensor", "flow"), default="star")
     p.add_argument("--ell", type=int, default=1, help="flow amount for --functor flow")
+    p.set_defaults(run=_cmd_dual)
 
-    p = sub.add_parser("cover", help="projective cover")
-    p.add_argument("expr")
-
-    p = sub.add_parser("hull", help="injective hull")
-    p.add_argument("expr")
+    for name, op, help_text in (("cover", "projective_cover", "projective cover"),
+                                ("hull", "injective_hull", "injective hull")):
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("expr")
+        p.set_defaults(run=_cmd_cover, op=op)
 
     p = sub.add_parser("rigidity", help="rigidity constant and identity checks")
     p.add_argument("--j", type=float, default=0.3)
     p.add_argument("--w1", type=float, default=1.0)
     p.add_argument("--ell", type=int, default=0)
+    p.set_defaults(run=_cmd_rigidity)
 
     p = sub.add_parser("catalog", help="exact sequence catalog")
-    p.add_argument("--bound", type=int)
+    p.add_argument("--bound", type=int, dest="catalog_bound", metavar="BOUND")
+    p.set_defaults(run=_cmd_catalog)
 
     p = sub.add_parser("verify", help="run property verification suites")
     p.add_argument("--suite", choices=("all",) + _SUITE_NAMES,
                    default="all")
-    p.add_argument("--max-length", type=int)
-    p.add_argument("--max-flow", type=int)
+    p.add_argument("--max-length", type=int, dest="pool_max_length", metavar="MAX_LENGTH")
+    p.add_argument("--max-flow", type=int, dest="pool_max_flow", metavar="MAX_FLOW")
+    p.set_defaults(run=_cmd_verify)
 
     return parser
 
@@ -312,21 +291,15 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
 
-    dispatch = {
-        "fuse": lambda: _cmd_fuse(args, cfg),
-        "hom": lambda: _cmd_dim(args, cfg, "hom_dim"),
-        "ext": lambda: _cmd_dim(args, cfg, "ext_dim"),
-        "char": lambda: _cmd_char(args, cfg),
-        "loewy": lambda: _cmd_loewy(args, cfg),
-        "dual": lambda: _cmd_dual(args, cfg),
-        "cover": lambda: _cmd_cover(args, cfg, "projective_cover"),
-        "hull": lambda: _cmd_cover(args, cfg, "injective_hull"),
-        "rigidity": lambda: _cmd_rigidity(args, cfg),
-        "catalog": lambda: _cmd_catalog(args, cfg),
-        "verify": lambda: _cmd_verify(args, cfg),
-    }
+    flags = {key: getattr(args, key) for key in config.PARSERS
+             if getattr(args, key, None) is not None}
     try:
-        return dispatch[args.command]()
+        # flags override the file; text flags go through the file's parsers
+        cfg = replace(cfg, **{key: config.PARSERS[key](value) if isinstance(value, str)
+                              else value for key, value in flags.items()})
+        payload, text = args.run(args, cfg)
+        print(json.dumps(payload, indent=2, sort_keys=True)
+              if args.format == "json" else text)
     except BrokenPipeError:
         # the reader is gone; send the rest of stdout, flushed at exit, nowhere
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
@@ -334,6 +307,8 @@ def main(argv=None) -> int:
     except (ValueError, ArithmeticError) as exc:  # ParseError etc. are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    # only a verify payload carries "passed"
+    return 0 if payload.get("passed", True) else 2
 
 
 if __name__ == "__main__":

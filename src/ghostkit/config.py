@@ -59,30 +59,33 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
+def _parse_cosets(text: str) -> tuple[Fraction, ...]:
+    return tuple(parse_fraction(part, "pool_cosets entry")
+                 for part in text.split(",") if part.strip())
+
+
+# The parser of each config key's text.  A flag named after a key goes
+# through the same parser, so the file and the flag accept the same values.
+PARSERS = {
+    "hmax": lambda text: parse_fraction(text, "hmax"),
+    "jwindow": parse_jwindow,
+    "catalog_bound": int,
+    "strict_guards": _parse_bool,
+    "pool_max_length": int,
+    "pool_max_flow": int,
+    "pool_cosets": _parse_cosets,
+}
+
+
 def _apply(cfg: Config, key: str, value: str) -> Config:
     key = key.strip().lower()
-    value = value.strip()
-    if key == "hmax":
-        return replace(cfg, hmax=parse_fraction(value, "hmax"))
-    if key == "jwindow":
-        return replace(cfg, jwindow=parse_jwindow(value))
-    if key == "catalog_bound":
-        return replace(cfg, catalog_bound=int(value))
-    if key == "strict_guards":
-        return replace(cfg, strict_guards=_parse_bool(value))
-    if key == "pool_max_length":
-        return replace(cfg, pool_max_length=int(value))
-    if key == "pool_max_flow":
-        return replace(cfg, pool_max_flow=int(value))
-    if key == "pool_cosets":
-        cosets = tuple(parse_fraction(part, "pool_cosets entry")
-                       for part in value.split(",") if part.strip())
-        return replace(cfg, pool_cosets=cosets)
-    raise ValueError(f"unknown config key {key!r}")
+    if key not in PARSERS:
+        raise ValueError(f"unknown config key {key!r}")
+    return replace(cfg, **{key: PARSERS[key](value.strip())})
 
 
-def load_file(path: str, base: Config | None = None) -> Config:
-    cfg = base or Config()
+def load_file(path: str) -> Config:
+    cfg = Config()
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -97,8 +100,5 @@ def load_file(path: str, base: Config | None = None) -> Config:
 
 def load(path: str | None = None) -> Config:
     """Resolve the effective config from defaults, env var and explicit path."""
-    cfg = Config()
     chosen = path or os.environ.get(ENV_VAR)
-    if chosen:
-        cfg = load_file(chosen, cfg)
-    return cfg
+    return load_file(chosen) if chosen else Config()

@@ -109,13 +109,10 @@ def _atom(sc: _Scanner) -> Module:
 
 
 def _term(sc: _Scanner) -> tuple[Module, int]:
-    sc.skip_ws()
-    start = sc.pos
     mult = 1
+    # a leading digit, so the multiplicity has no sign
     if sc.peek().isdigit():
         mult = sc.integer()
-        if mult < 0:
-            raise ParseError("multiplicities must be nonnegative", start)
         sc.expect("*")
     return _atom(sc), mult
 

@@ -347,7 +347,7 @@ def numerics_suite(cfg: Config | None = None) -> list[Check]:
     identities_ok, nonvanishing_ok, min_abs = rigidity.sweep(points)
     return [
         Check("hypergeometric and beta identities", identities_ok,
-              "grid points at 1e-10", points),
+              f"grid points at {rigidity.IDENTITY_TOL:g}", points),
         Check("rigidity constant non-vanishing", nonvanishing_ok,
               f"grid points, min |I| = {min_abs:.3e}", points),
     ]

@@ -1,5 +1,7 @@
+import argparse
 import json
 import os
+import shlex
 import subprocess
 import sys
 from importlib import resources
@@ -10,7 +12,7 @@ import pytest
 
 import ghostkit
 from ghostkit import characters, fusion, grammar, modules, rigidity, verify
-from ghostkit.cli import main
+from ghostkit.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -482,6 +484,20 @@ def test_rigidity_near_zero_coset_is_computed(capsys, j):
     assert "|I|=3.947841760436e+01" in out
 
 
+def test_rigidity_identities_near_one_are_relative(capsys):
+    # both sides of the Beta identity are near 1e6 here; they agree to 6e-12
+    code, out, _ = run(capsys, "rigidity", "--j", "0.999999")
+    assert code == 0
+    assert out.strip().endswith("identities=pass")
+
+
+def test_empty_jwindow_flag_is_refused_like_the_file(capsys):
+    code, out, err = run(capsys, "char", "V[0]", "--jwindow=")
+    assert code == 1
+    assert out == ""
+    assert "error: jwindow must look like 'a:b', got ''" in err
+
+
 @pytest.mark.parametrize("flags, what", [
     (["--j", "0.02", "--ell", "23", "--w1", "0.5"], "the constant"),
     (["--j", "0.1", "--ell", "-2", "--w1", "1e-40"], "the prefactor"),
@@ -532,3 +548,31 @@ def test_suite_choices_are_the_verify_suites():
     suite = next(action for action in commands.choices["verify"]._actions
                  if action.dest == "suite")
     assert tuple(suite.choices) == ("all",) + tuple(verify.SUITES)
+
+
+def _readme_calls():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    for line in readme.read_text(encoding="utf-8").splitlines():
+        if line.startswith("ghostkit "):
+            call, _, comment = line.partition("#")
+            _, _, want = comment.partition("->")
+            yield shlex.split(call)[1:], want.strip() or None
+
+
+@pytest.mark.parametrize("argv, want", list(_readme_calls()),
+                         ids=lambda value: " ".join(value) if isinstance(value, list) else None)
+def test_readme_examples_run(capsys, argv, want):
+    if argv[0] == "verify":
+        # about 10 s; CI's `ghostkit verify --suite all` step runs the fusion suite
+        build_parser().parse_args(argv)
+        return
+    code, out, err = run(capsys, *argv)
+    assert code == 0, err
+    if want is not None:
+        assert out.splitlines()[0] == want
+
+
+def test_readme_shows_every_command():
+    commands = next(action for action in build_parser()._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    assert {argv[0] for argv, _ in _readme_calls()} == set(commands.choices)

@@ -72,3 +72,16 @@ def test_cli_verify_failure_exit_code(capsys, monkeypatch):
     out = capsys.readouterr().out
     assert code == 2
     assert "suite numerics: FAIL" in out
+
+
+def test_failed_check_names_its_count_and_first_case(monkeypatch):
+    from ghostkit import verify as verify_mod
+    from ghostkit.modules import proj
+
+    hom_dim = verify_mod.homalg.hom_dim
+    monkeypatch.setattr(verify_mod.homalg, "hom_dim",
+                        lambda a, b: hom_dim(a, b) + (a == b == proj(0)))
+    cfg = replace(Config(), pool_max_length=3, pool_max_flow=1, catalog_bound=3)
+    lines = [check.line() for check in verify_mod.homalg_suite(cfg)]
+    assert "FAIL hom table (144 cases; flow offsets -4..4; 1 failed, first at P[0], P[0])" \
+        in lines
