@@ -85,7 +85,7 @@ class CharSeries:
         for (j, h), d in coeffs.items():
             (jf, a), (hf, b) = _split(Fraction(j)), _split(Fraction(h))
             sectors.setdefault((jf, hf), {})[(a, b)] = d
-        self.col_hmax = col_hmax
+        self.col_hmax = dict(col_hmax)
         self._sectors = sectors
 
     @classmethod
@@ -166,7 +166,7 @@ class CharSeries:
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, CharSeries)
-                and dict(self.col_hmax) == dict(other.col_hmax)
+                and self.col_hmax == other.col_hmax
                 and self._sectors == other._sectors)
 
     def agrees_with(self, other: "CharSeries", *, min_points: int = 1) -> bool:

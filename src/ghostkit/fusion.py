@@ -10,16 +10,19 @@ Fusion is computed on canonical labels.  The algorithm:
 4. projectives form a tensor ideal: a projective ``X`` (``W`` or ``P``)
    times a non-relaxed ``M`` is one flow of ``X`` per composition factor of
    ``M``, ``sum_f flow(X, flow(f))``;
-5. string times string follows twelve closed decomposition formulas whose
-   projective parts are the sums ``S[m,n;k]`` expanded by
-   :func:`expand_projsum`.
+5. string times string follows six closed formulas, one for each pair of
+   length parities (odd x odd, odd x even, even x even) with equal or
+   different letters.  Each is written once for both letters and both
+   orders, and its projective part is at most one staggered sum
+   ``S[m,n;k]`` (:class:`ProjSum`); only two length-2 strings of one letter
+   give none.
 
-The string formulas are stated for ordered length parameters (``m >= n``
-after commutative reordering).  Where no ordering meets that guard the same
-formula shape is applied and the result is flagged ``guard_extended``; with
-``strict_guards`` such products raise :class:`GuardExtensionError` instead.
-Every guard-extended product is still required (and tested) to satisfy the
-Grothendieck ring homomorphism.
+Every pair product has one shape, ``(total, guard, ProjSum or None)``.  The
+odd x even formulas are stated for ordered length parameters.  Where the
+factors do not meet that guard the same formula shape is applied and the
+result is flagged ``guard_extended``; with ``strict_guards`` such products
+raise :class:`GuardExtensionError` instead.  Every guard-extended product is
+still required (and tested) to satisfy the Grothendieck ring homomorphism.
 
 Products of label pairs, the base-flow pairs among them, are kept in one
 cache, emptied at ``PAIR_CACHE_LIMIT`` entries.  The projective part and the
@@ -31,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .modules import (
-    _KEY, BStr, FormalSum, Module, Proj, TStr, Typ, Vac, as_sum, bstr,
+    _KEY, FormalSum, Module, Proj, TStr, Typ, Vac, _integral, as_sum, bstr,
     composition_factors, is_projective, is_simple, tstr,
 )
 
@@ -66,8 +69,9 @@ class ProjSum:
 
 
 def expand_projsum(m: int, n: int, k: int) -> FormalSum:
-    """Expanded form of ``S[m,n;k]``; rejects nonpositive ``m`` or ``n``."""
-    return ProjSum(int(m), int(n), int(k)).expand()
+    """Expanded form of ``S[m,n;k]``; rejects nonpositive or non-integral
+    ``m`` or ``n`` and a non-integral ``k``."""
+    return ProjSum(_integral(m, "m"), _integral(n, "n"), _integral(k, "k")).expand()
 
 
 # ``FusionResult.compact`` has one string per sum and unit of multiplicity
@@ -78,13 +82,14 @@ MAX_COMPACT_ENTRIES = 100_000
 @dataclass(frozen=True)
 class FusionResult:
     """A fusion decomposition.  ``total`` is the full expansion; ``sums``
-    pairs the ``S[m,n;k]`` of each product of summands with its multiplicity,
-    from which ``compact`` is built on demand, so :func:`fuse` never pays.
+    pairs the ``S[m,n;k]`` of each product of summands that has one with the
+    product's multiplicity, from which ``compact`` is built on demand, so
+    :func:`fuse` never pays.
     """
 
     total: FormalSum
     guard_extended: bool
-    sums: tuple[tuple[tuple[ProjSum, ...], int], ...]
+    sums: tuple[tuple[ProjSum, int], ...]
 
     @property
     def projective_part(self) -> FormalSum:
@@ -97,83 +102,61 @@ class FusionResult:
     def compact(self) -> tuple[str, ...]:
         """The ``S[m,n;k]`` forms of the projective parts the string formulas
         produced, one per unit of multiplicity."""
-        count = sum(len(sums) * mult for sums, mult in self.sums)
+        count = sum(mult for _, mult in self.sums)
         if count > MAX_COMPACT_ENTRIES:
             raise ValueError(
                 f"the compact projective display has {count} entries, above the "
                 f"limit {MAX_COMPACT_ENTRIES}")
-        return tuple([str(s) for sums, mult in self.sums for s in sums for _ in range(mult)])
+        return tuple([str(s) for s, mult in self.sums for _ in range(mult)])
 
 
-def _string_fuse(a: Module, b: Module) -> tuple[FormalSum, bool, tuple[ProjSum, ...]]:
-    """Fusion of two base-flow-0 strings via the closed formulas."""
-    same_letter = type(a) is type(b)
-    cls = type(a)
-    la, lb = a.n, b.n
-    if same_letter:
-        if la % 2 == 1 and lb % 2 == 1:
-            p, q = sorted(((la - 1) // 2, (lb - 1) // 2), reverse=True)
-            body = FormalSum.of(cls(la + lb - 1, 0))
-            s = ProjSum(p, q, 1) if min(p, q) >= 1 else None
-        elif la % 2 == 0 and lb % 2 == 0:
-            p, q = sorted((la // 2, lb // 2), reverse=True)
-            body = FormalSum.of(cls(2 * q, 2 * p - 1)) + FormalSum.of(cls(2 * q, 0))
-            s = ProjSum(p - 1, q, 1) if p - 1 >= 1 else None
-            return _with_sum(body, s, guard=False)
-        else:
-            odd, even = (a, b) if la % 2 == 1 else (b, a)
-            p, q = (odd.n - 1) // 2, even.n // 2
-            body = FormalSum.of(cls(even.n, 0))
-            body_s = ProjSum(p, q, 1)
-            return _with_sum(body, body_s, guard=p < q)
-        return _with_sum(body, s, guard=False)
-
-    tmod, bmod = (a, b) if isinstance(a, TStr) else (b, a)
-    lt, lbm = tmod.n, bmod.n
-    if lt % 2 == 1 and lbm % 2 == 1:
-        p, q = (lt - 1) // 2, (lbm - 1) // 2
-        if p >= q:
-            body = FormalSum.of(tstr(2 * (p - q) + 1, 2 * q))
-            s = ProjSum(p + 1, q, 0) if q >= 1 else None
-        else:
-            body = FormalSum.of(bstr(2 * (q - p) + 1, 2 * p))
-            s = ProjSum(q + 1, p, 0) if p >= 1 else None
-        return _with_sum(body, s, guard=False)
-    if lt % 2 == 0 and lbm % 2 == 1:
-        p, q = lt // 2, (lbm - 1) // 2
-        body = FormalSum.of(TStr(lt, 2 * q))
-        s = ProjSum(p, q, 0) if q >= 1 else None
-        return _with_sum(body, s, guard=p < q and q >= 1)
-    if lt % 2 == 1 and lbm % 2 == 0:
-        p, q = lbm // 2, (lt - 1) // 2
-        body = FormalSum.of(BStr(lbm, 2 * q))
-        s = ProjSum(p, q, 0) if q >= 1 else None
-        return _with_sum(body, s, guard=p < q and q >= 1)
-    p, q = sorted((lt // 2, lbm // 2), reverse=True)
-    return _with_sum(FormalSum(), ProjSum(p, q, 0), guard=False)
+def _string_fuse(a: Module, b: Module) -> tuple[FormalSum, bool, ProjSum | None]:
+    """Fusion of two base-flow-0 strings via the closed formulas, in either
+    order.  A string of length ``n >= 2`` has ``n = 2p`` or ``n = 2p + 1``
+    with ``p = n // 2 >= 1``."""
+    same = type(a) is type(b)
+    if a.n % 2 != b.n % 2:  # odd x even
+        odd, even = (a, b) if a.n % 2 else (b, a)
+        p, q = odd.n // 2, even.n // 2
+        if same:
+            return _with_sum(FormalSum.of(type(a)(even.n, 0)), ProjSum(p, q, 1), guard=p < q)
+        return _with_sum(FormalSum.of(type(even)(even.n, 2 * p)), ProjSum(q, p, 0), guard=q < p)
+    long, short = (a, b) if a.n >= b.n else (b, a)
+    p, q = long.n // 2, short.n // 2
+    if a.n % 2:  # odd x odd
+        if same:
+            return _with_sum(FormalSum.of(type(a)(a.n + b.n - 1, 0)), ProjSum(p, q, 1))
+        # at p == q both letters give V[2q]
+        string = tstr if isinstance(long, TStr) else bstr
+        return _with_sum(FormalSum.of(string(2 * (p - q) + 1, 2 * q)), ProjSum(p + 1, q, 0))
+    if same:  # even x even
+        body = FormalSum.of(type(a)(2 * q, 2 * p - 1)) + FormalSum.of(type(a)(2 * q, 0))
+        # only two length-2 strings leave no projective sum
+        return _with_sum(body, ProjSum(p - 1, q, 1) if p > 1 else None)
+    return _with_sum(FormalSum(), ProjSum(p, q, 0))
 
 
-def _with_sum(body: FormalSum, s: ProjSum | None, *, guard: bool):
-    if s is None:
-        return body, guard, ()
-    return body + s.expand(), guard, (s,)
+def _with_sum(body: FormalSum, s: ProjSum | None = None, *, guard: bool = False):
+    """The shape of every pair product, ``(total, guard, s)``: ``total`` is
+    ``body`` plus the expansion of the projective sum ``s``, if any."""
+    return (body if s is None else body + s.expand()), guard, s
 
 
-def _fuse_base(a: Module, b: Module) -> tuple[FormalSum, bool, tuple[ProjSum, ...]]:
+def _fuse_base(a: Module, b: Module) -> tuple[FormalSum, bool, ProjSum | None]:
     """Fusion of two modules at base flow 0, ``a``'s family rank not above
     ``b``'s; every formula is symmetric within a family."""
     if isinstance(a, Vac):
-        return FormalSum.of(b), False, ()
+        return _with_sum(FormalSum.of(b))
     if isinstance(a, Typ) and isinstance(b, Typ):
-        s = (a.coset + b.coset) % 1
-        if s == 0:
-            return FormalSum.of(Proj(-1)), False, ()
-        return FormalSum.of(Typ(s, 0)) + FormalSum.of(Typ(s, -1)), False, ()
+        c = (a.coset + b.coset) % 1
+        if c == 0:
+            return _with_sum(FormalSum.of(Proj(-1)))
+        return _with_sum(FormalSum.of(Typ(c, 0)) + FormalSum.of(Typ(c, -1)))
     if is_projective(a) or is_projective(b):
         # Projectives form a tensor ideal: the product sees only the other
         # factor's composition factors, one flowed projective for each.
         p, other = (a, b) if is_projective(a) else (b, a)
-        return FormalSum((p.flowed(f.flow), 1) for f in other.factors()), False, ()
+        return _with_sum(FormalSum((p.flowed(f.flow), 1) for f in other.factors()))
     return _string_fuse(a, b)
 
 
@@ -181,10 +164,10 @@ def _fuse_base(a: Module, b: Module) -> tuple[FormalSum, bool, tuple[ProjSum, ..
 # pairs the associativity sweep takes about twice as long, without the base
 # pairs about 1.2 times.  The cache is emptied at this many entries.
 PAIR_CACHE_LIMIT = 1 << 16
-_PAIR_CACHE: dict[tuple, tuple[FormalSum, bool, tuple[ProjSum, ...]]] = {}
+_PAIR_CACHE: dict[tuple, tuple[FormalSum, bool, ProjSum | None]] = {}
 
 
-def _fuse_modules(a: Module, b: Module) -> tuple[FormalSum, bool, tuple[ProjSum, ...]]:
+def _fuse_modules(a: Module, b: Module) -> tuple[FormalSum, bool, ProjSum | None]:
     # keyed by identity keys (hashed and compared in C), which the family
     # rank leads
     ia, ib = a._id, b._id
@@ -196,12 +179,12 @@ def _fuse_modules(a: Module, b: Module) -> tuple[FormalSum, bool, tuple[ProjSum,
         return hit
     fa, fb = a.flow, b.flow
     if fa or fb:
-        total, guard, sums = _fuse_modules(a.flowed(-fa), b.flowed(-fb))
+        total, guard, s = _fuse_modules(a.flowed(-fa), b.flowed(-fb))
         shift = fa + fb
         if shift:
             total = total.flowed(shift)
-            sums = tuple([ProjSum(s.m, s.n, s.k + shift) for s in sums])
-        out = (total, guard, sums)
+            s = None if s is None else ProjSum(s.m, s.n, s.k + shift)
+        out = (total, guard, s)
     else:
         out = _fuse_base(a, b)
     if len(_PAIR_CACHE) >= PAIR_CACHE_LIMIT:
@@ -215,10 +198,10 @@ def fuse_detailed(a, b, *, strict_guards: bool = False) -> FusionResult:
     terms_a, terms_b = as_sum(a).terms, as_sum(b).terms
     collected: list[tuple[Module, int]] = []
     guard_any = False
-    collected_sums: list[tuple[tuple[ProjSum, ...], int]] = []
+    sums: list[tuple[ProjSum, int]] = []
     for ma, ka in terms_a:
         for mb, kb in terms_b:
-            part, guard, sums = _fuse_modules(ma, mb)
+            part, guard, s = _fuse_modules(ma, mb)
             if guard:
                 guard_any = True
                 if strict_guards:
@@ -226,9 +209,9 @@ def fuse_detailed(a, b, *, strict_guards: bool = False) -> FusionResult:
                         f"fusion {ma} x {mb} falls outside the stated length guard")
             mult = ka * kb
             collected.extend(part.terms if mult == 1 else [(m, mult * k) for m, k in part.terms])
-            if sums:
-                collected_sums.append((sums, mult))
-    return FusionResult(FormalSum(collected), guard_any, tuple(collected_sums))
+            if s is not None:
+                sums.append((s, mult))
+    return FusionResult(FormalSum(collected), guard_any, tuple(sums))
 
 
 def fuse(a, b, *, strict_guards: bool = False) -> FormalSum:

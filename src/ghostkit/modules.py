@@ -253,17 +253,28 @@ _KEY = attrgetter("_key")
 _FIRST = itemgetter(0)
 
 
+def _integral(x, what: str) -> int:
+    """``x`` as an int, refusing rather than truncating a non-integral value."""
+    try:
+        n = int(x)
+    except (TypeError, ValueError, OverflowError):
+        n = None
+    if n is None or n != x:
+        raise ValueError(f"{what} must be an integer, got {x!r}")
+    return n
+
+
 def vac(ell: int = 0) -> Vac:
-    return Vac(int(ell))
+    return Vac(_integral(ell, "flow index"))
 
 
 def typ(c, ell: int = 0) -> Typ:
-    return Typ(coset(c), int(ell))
+    return Typ(coset(c), _integral(ell, "flow index"))
 
 
 def bstr(n: int, m: int = 0) -> Module:
     """``B[n,m]`` with the alias ``B[1,m] = V[m]`` resolved."""
-    n, m = int(n), int(m)
+    n, m = _integral(n, "string length"), _integral(m, "flow index")
     if n < 1:
         raise ValueError(f"string length must be >= 1, got {n}")
     if n == 1:
@@ -273,7 +284,7 @@ def bstr(n: int, m: int = 0) -> Module:
 
 def tstr(n: int, m: int = 0) -> Module:
     """``T[n,m]`` with the alias ``T[1,m] = V[m]`` resolved."""
-    n, m = int(n), int(m)
+    n, m = _integral(n, "string length"), _integral(m, "flow index")
     if n < 1:
         raise ValueError(f"string length must be >= 1, got {n}")
     if n == 1:
@@ -282,7 +293,7 @@ def tstr(n: int, m: int = 0) -> Module:
 
 
 def proj(m: int = 0) -> Proj:
-    return Proj(int(m))
+    return Proj(_integral(m, "flow index"))
 
 
 def w_zero_minus(ell: int = 0) -> Module:

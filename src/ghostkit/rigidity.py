@@ -146,17 +146,18 @@ def identity_report(j: float) -> dict[str, float]:
     """Relative deviations of the three pinned identities at one grid point.
 
     Each deviation is taken relative to the closed-form side, since both
-    sides of the Beta identity grow like ``1/(1-j)``.  Within about 1e-7 of
-    ``j = 1`` the float ``pi*j`` keeps too few digits of its distance to
-    ``pi``, so ``sin(pi*j)`` and the Beta deviation still exceed
-    ``IDENTITY_TOL`` there.
+    sides of the Beta identity grow like ``1/(1-j)``.  That side takes
+    ``sin(pi*j)`` as ``sin(pi*min(j, 1-j))``: near ``j = 1`` the float
+    ``pi*j`` keeps few digits of its distance to ``pi``, while ``1-j`` is
+    exact for ``j >= 1/2``.
     """
     def rel(value: float, closed_form: float) -> float:
         return abs(value - closed_form) / abs(closed_form)
 
     return {
         "gauss": rel(hyp2f1(1.0 - j, j, 1.0, 0.5), gauss_half_closed_form(j)),
-        "beta": rel(beta_fn(1.0 + j, 1.0 - j), math.pi * j / math.sin(math.pi * j)),
+        "beta": rel(beta_fn(1.0 + j, 1.0 - j),
+                    math.pi * j / math.sin(math.pi * min(j, 1.0 - j))),
         "contiguity": rel(hyp2f1(-j, j, 1.0, 0.5), contiguous_half_value(j)),
     }
 

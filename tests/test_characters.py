@@ -312,6 +312,15 @@ def test_series_compare_and_add_on_the_common_region():
     assert dict(total.coeffs) == {(F(0), F(1)): 6, (F(1), F(4)): 2}
 
 
+def test_series_keeps_its_own_column_bounds():
+    F = Fraction
+    bounds = {F(0): F(2)}
+    series = CharSeries(bounds, {(F(0), F(1)): 3})
+    bounds[F(0)] = F(-5)
+    assert series.coeff(0, 1) == 3
+    assert series == CharSeries({F(0): F(2)}, {(F(0), F(1)): 3})
+
+
 def _table_digest_input(tag, ch):
     return repr((tag, sorted(ch.col_hmax.items()), list(ch.entries()))).encode()
 

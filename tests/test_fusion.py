@@ -38,6 +38,14 @@ def test_expand_projsum_examples():
         expand_projsum(3, -1, 0)
 
 
+def test_expand_projsum_refuses_non_integral_arguments():
+    assert expand_projsum(2.0, Fraction(2), 0.0) == expand_projsum(2, 2, 0)
+    with pytest.raises(ValueError, match="must be an integer"):
+        expand_projsum(1.5, 1.5, 0.5)
+    with pytest.raises(ValueError, match="k must be an integer"):
+        expand_projsum(1, 1, 0.5)
+
+
 def test_expand_projsum_total_multiplicity_brute_force():
     for m in range(1, 13):
         for n in range(1, 13):
@@ -235,6 +243,24 @@ def test_compact_display_side_channel():
     res = fuse_detailed(tstr(2, 1), bstr(2, 0))
     assert res.compact == ("S[1,1;1]",)
     assert res.total == FormalSum.of(proj(2))
+
+
+def test_string_products_beyond_the_pin():
+    # every ordered pair of base-flow-0 strings of lengths 2-15; the table
+    # pin stops at length 7
+    strings = [make(n, 0) for make in (bstr, tstr) for n in range(2, 16)]
+    for a in strings:
+        for b in strings:
+            res, rev = fuse_detailed(a, b), fuse_detailed(b, a)
+            assert groth_class(res.total) == groth_product(groth_class(a), groth_class(b))
+            assert (rev.total, rev.guard_extended, rev.compact) == (
+                res.total, res.guard_extended, res.compact)
+            # at most one S[m,n;k] per pair product, none only for two
+            # length-2 strings of one letter
+            assert [mult for _, mult in res.sums] == (
+                [] if a.n == b.n == 2 and type(a) is type(b) else [1])
+            expanded = res.sums[0][0].expand() if res.sums else FormalSum()
+            assert expanded == res.projective_part
 
 
 # sha256 over every ordered pair (a, b) of the default pool_modules(), in

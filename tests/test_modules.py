@@ -41,6 +41,17 @@ def test_invalid_labels_rejected():
         Typ(Fraction(3), 1)
 
 
+def test_factories_refuse_non_integral_values():
+    assert (vac(2.0), bstr(Fraction(3), -1.0), proj(Fraction(4, 2))) == (
+        vac(2), bstr(3, -1), proj(2))
+    cases = [(vac, (2.5,)), (typ, (Fraction(1, 3), 0.5)), (bstr, (3.9, 0.5)),
+             (tstr, (3, Fraction(1, 2))), (proj, (-0.5,)), (vac, (float("nan"),)),
+             (bstr, ("3",))]
+    for make, args in cases:
+        with pytest.raises(ValueError, match="must be an integer"):
+            make(*args)
+
+
 def test_typ_normalizes_coset():
     assert typ(Fraction(-1, 3), 0) == typ(Fraction(2, 3), 0)
     assert typ(Fraction(4, 3), 5).coset == Fraction(1, 3)

@@ -4,7 +4,7 @@ import pytest
 
 from ghostkit.rigidity import (
     bailey_half_closed_form, beta_fn, contiguous_half_value, default_grid,
-    gamma_fn, gauss_half_closed_form, hyp2f1, identity_report,
+    gamma_fn, gauss_half_closed_form, hyp2f1, identities_hold, identity_report,
     rigidity_constant, sweep,
 )
 
@@ -109,3 +109,10 @@ def test_identity_report_and_sweep():
     assert identities_ok
     assert nonvanishing_ok
     assert min_abs > 1e-8
+
+
+@pytest.mark.parametrize("j", [0.9999999, 0.99999999, 1 - 1e-12])
+def test_identities_hold_near_one(j):
+    # the float pi*j keeps few digits of its distance to pi here
+    assert identity_report(j)["beta"] < 1e-14
+    assert identities_hold(j)
