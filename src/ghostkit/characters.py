@@ -28,20 +28,17 @@ enumeration would run for seconds.
 
 All weights of a flowed simple share their fractional parts (its sector),
 so a :class:`CharSeries` keeps, per sector, a grid keyed by integer offsets
-within it.  The columns of all composition factors in one sector end at the
-same conformal weight, so :func:`character` adds them column by column with
-their tops aligned and builds each sector's grid once.  Sums, comparisons
-and the flow and dual transforms work on those grids with one ``Fraction``
-step per column or sector; ``Fraction`` keys are built only when the
-entries are read out.
+within it, and keys its per-column certified bounds ``col_hmax`` (entries at
+or below one are complete, nothing is claimed above it) by integer offsets
+too.  :func:`character` lays vacuum-sector factors out in integers alone and
+adds the factors of a sector column by column, their tops aligned.  Sums,
+comparisons and the flow and dual transforms work on the integer keys, with
+one rational step per distinct bound and, for a flow, per column;
+``Fraction`` keys are built only when entries or bounds are read out.
 
 Characters of non-simple indecomposables are the sums of their composition
 factors' characters (graded dimension ignores the filtration), and
 characters of formal sums are linear.
-
-Transformed series keep a per-column certified bound ``col_hmax``: entries
-at or below the bound are complete, nothing is claimed above it.  All
-comparisons in tests intersect certified regions.
 """
 
 from __future__ import annotations
@@ -67,32 +64,43 @@ def _split(x) -> tuple[Fraction, int]:
     return x - n, n
 
 
+def _per_bound(cols: dict[int, Fraction], f) -> dict:
+    # ``{a: f(bound)}``, one call per run of columns sharing one bound object
+    out, last = {}, None
+    for a, bound in cols.items():
+        if bound is not last:
+            last, value = bound, f(bound)
+        out[a] = value
+    return out
+
+
 class CharSeries:
     """A truncated character table with per-column certified bounds.
 
-    ``col_hmax`` maps each ghost column ``j`` to its certified bound.  The
-    entries are stored by sector: each ``(jf, hf)``, fractional parts in
-    ``[0, 1)``, maps to a nonempty grid ``{(a, b): d}`` of plain integers
+    ``col_hmax`` maps each ghost column ``j`` to its certified bound.  Both
+    are stored by the fractional part ``jf`` of ``j``, in ``[0, 1)``: the
+    bounds as ``{jf: {a: bound}}`` for the column ``jf + a``, the entries per
+    sector ``(jf, hf)`` as a nonempty grid ``{(a, b): d}`` of plain integers
     standing for the weight ``(jf + a, hf + b)``.  ``Fraction`` keys are
-    built only by :attr:`coeffs` and :meth:`entries`.
+    built only by :attr:`col_hmax`, :attr:`coeffs` and :meth:`entries`.
     """
 
-    __slots__ = ("col_hmax", "_sectors")
+    __slots__ = ("_bounds", "_sectors")
 
     def __init__(self, col_hmax: Mapping[Fraction, Fraction],
                  coeffs: Mapping[tuple[Fraction, Fraction], int]):
-        sectors: dict[tuple[Fraction, Fraction], dict[tuple[int, int], int]] = {}
+        self._bounds, self._sectors = {}, {}
+        for j, bound in col_hmax.items():
+            jf, a = _split(Fraction(j))
+            self._bounds.setdefault(jf, {})[a] = bound
         for (j, h), d in coeffs.items():
             (jf, a), (hf, b) = _split(Fraction(j)), _split(Fraction(h))
-            sectors.setdefault((jf, hf), {})[(a, b)] = d
-        self.col_hmax = dict(col_hmax)
-        self._sectors = sectors
+            self._sectors.setdefault((jf, hf), {})[(a, b)] = d
 
     @classmethod
-    def _from_sectors(cls, col_hmax, sectors) -> "CharSeries":
+    def _from_sectors(cls, bounds, sectors) -> "CharSeries":
         out = cls.__new__(cls)
-        out.col_hmax = col_hmax
-        out._sectors = sectors
+        out._bounds, out._sectors = bounds, sectors
         return out
 
     def __repr__(self) -> str:
@@ -101,9 +109,15 @@ class CharSeries:
     def _runs(self) -> Iterator[list[tuple[Fraction, Fraction, int]]]:
         # per sector, its entries ``(j, h, d)`` in ascending order
         for (jf, hf), grid in self._sectors.items():
-            js = {a: jf + a for a in {a for a, _ in grid}}
-            hs = {b: hf + b for b in {b for _, b in grid}}
+            js = {a: jf + a if jf else Fraction(a) for a in {a for a, _ in grid}}
+            hs = {b: hf + b if hf else Fraction(b) for b in {b for _, b in grid}}
             yield [(js[a], hs[b], d) for (a, b), d in sorted(grid.items())]
+
+    @property
+    def col_hmax(self) -> dict[Fraction, Fraction]:
+        """The certified bounds as ``{j: bound}``, built on each access."""
+        return {jf + a if jf else Fraction(a): bound
+                for jf, cols in self._bounds.items() for a, bound in cols.items()}
 
     @property
     def coeffs(self) -> dict[tuple[Fraction, Fraction], int]:
@@ -118,11 +132,11 @@ class CharSeries:
 
     def coeff(self, j, h) -> int:
         jj, hh = Fraction(j), Fraction(h)
-        if jj not in self.col_hmax:
-            raise KeyError(f"ghost column {jj} outside the computed window")
-        if hh > self.col_hmax[jj]:
-            raise TruncationError(f"h={hh} above certified bound in column {jj}")
         (jf, a), (hf, b) = _split(jj), _split(hh)
+        if (bound := self._bounds.get(jf, {}).get(a)) is None:
+            raise KeyError(f"ghost column {jj} outside the computed window")
+        if hh > bound:
+            raise TruncationError(f"h={hh} above certified bound in column {jj}")
         return self._sectors.get((jf, hf), {}).get((a, b), 0)
 
     def entries(self) -> Iterator[tuple[Fraction, Fraction, int]]:
@@ -134,31 +148,29 @@ class CharSeries:
         return {hf + b: d for (sf, hf), grid in self._sectors.items() if sf == jf
                 for (c, b), d in grid.items() if c == a}
 
-    def _common_bounds(self, other: "CharSeries") -> dict[Fraction, Fraction]:
-        # the intersection of two certified regions, column by column
-        return {j: min(self.col_hmax[j], other.col_hmax[j])
-                for j in set(self.col_hmax) & set(other.col_hmax)}
+    def _common_region(self, other: "CharSeries") -> tuple[dict, dict, dict]:
+        # the common certified region, column by column, and each side's entries in it
+        bounds = {}
+        for jf, mine in self._bounds.items():
+            theirs = other._bounds.get(jf, {})
+            if common := {a: min(mine[a], theirs[a]) for a in mine.keys() & theirs.keys()}:
+                bounds[jf] = common
+        return bounds, self._inside(bounds), other._inside(bounds)
 
-    def _inside(self, bounds: Mapping[Fraction, Fraction]) -> dict:
-        # per sector, the entries with ``j`` among the bounds and
-        # ``h <= bounds[j]``: one integer limit on ``b`` per column
-        by_frac: dict[Fraction, dict[int, Fraction]] = {}
-        for j, bound in bounds.items():
-            jf, a = _split(j)
-            by_frac.setdefault(jf, {})[a] = bound
+    def _inside(self, bounds: dict[Fraction, dict[int, Fraction]]) -> dict:
+        # per sector, the entries in a column of ``bounds`` with ``h`` at or
+        # below its bound: one integer limit on ``b`` per column
         out = {}
         for (jf, hf), grid in self._sectors.items():
-            limits = {a: math.floor(bound - hf) for a, bound in by_frac.get(jf, {}).items()}
-            kept = {(a, b): d for (a, b), d in grid.items()
-                    if a in limits and b <= limits[a]}
-            if kept:
+            limits = _per_bound(bounds.get(jf, {}), lambda bound: math.floor(bound - hf))
+            if kept := {(a, b): d for (a, b), d in grid.items()
+                        if a in limits and b <= limits[a]}:
                 out[(jf, hf)] = kept
         return out
 
     def __add__(self, other: "CharSeries") -> "CharSeries":
-        bounds = self._common_bounds(other)
-        sectors = self._inside(bounds)
-        for sector, grid in other._inside(bounds).items():
+        bounds, sectors, theirs = self._common_region(other)
+        for sector, grid in theirs.items():
             mine = sectors.setdefault(sector, {})
             for key, d in grid.items():
                 mine[key] = mine.get(key, 0) + d
@@ -166,16 +178,14 @@ class CharSeries:
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, CharSeries)
-                and self.col_hmax == other.col_hmax
+                and self._bounds == other._bounds
                 and self._sectors == other._sectors)
 
     def agrees_with(self, other: "CharSeries", *, min_points: int = 1) -> bool:
         """Exact agreement on the intersection of certified regions, which
         must hold at least ``min_points`` of this series' entries."""
-        bounds = self._common_bounds(other)
-        mine = self._inside(bounds)
-        return (mine == other._inside(bounds)
-                and sum(map(len, mine.values())) >= min_points)
+        _, mine, theirs = self._common_region(other)
+        return mine == theirs and sum(map(len, mine.values())) >= min_points
 
 
 def _parse_window(jwindow) -> tuple[Fraction, Fraction]:
@@ -307,11 +317,12 @@ def pbw_character_oracle(mod: Module, hmax, jwindow) -> CharSeries:
     wmax = oracle_weight(hmax)
     hmax = Fraction(hmax)
     free = _enumerate_free_monomials(max(wmax, 0))
-    coeffs: dict[tuple[Fraction, Fraction], int] = {}
-    bounds: dict[Fraction, Fraction] = {}
     vacuum = isinstance(mod, Vac)
-    for j in _columns_in_window(mod, jmin, jmax):
-        bounds[j] = hmax
+    offset = Fraction(0) if vacuum else mod.coset
+    columns = range(math.ceil(jmin - offset), math.floor(jmax - offset) + 1)
+    bounds = dict.fromkeys([offset + a for a in columns], hmax)
+    coeffs: dict[tuple[Fraction, Fraction], int] = {}
+    for j in bounds:
         for h in range(0, wmax + 1):
             d = _column(free, int(j) if vacuum else -h, h)
             if d:
@@ -319,17 +330,12 @@ def pbw_character_oracle(mod: Module, hmax, jwindow) -> CharSeries:
     return CharSeries(bounds, coeffs)
 
 
-def _columns_in_window(mod: Module, jmin: Fraction, jmax: Fraction):
-    """Ghost columns of the untwisted simple ``mod`` inside the window."""
-    offset = Fraction(0) if isinstance(mod, Vac) else mod.coset
-    return [offset + a for a in range(math.ceil(jmin - offset), math.floor(jmax - offset) + 1)]
-
-
 # where the columns of a flowed simple lie, and the table weight they need
 _Layout = namedtuple("_Layout", "vacuum ell sector cols off0 bmax weight")
 
 
-def _layout(simple: Module, hmax: Fraction, jmin: Fraction, jmax: Fraction) -> _Layout:
+def _layout(simple: Module, hmax: Fraction, jmin: Fraction, jmax: Fraction,
+            vacuum: tuple[range, int]) -> _Layout:
     """Where the columns of ``simple = flow(base, ell)`` lie, ``base`` at flow 0.
 
     A state of weight ``(j', h')`` in ``base`` appears at
@@ -338,23 +344,25 @@ def _layout(simple: Module, hmax: Fraction, jmin: Fraction, jmax: Fraction) -> _
     weight shifted by a per-column offset.  All weights of ``simple`` share
     their fractional parts ``(jf, hf)``, its sector: ``0`` for the vacuum,
     ``(c, ell*c mod 1)`` for the relaxed module of coset ``c``; the integer
-    key ``(a, b)`` stands for the weight ``(jf + a, hf + b)``.
+    key ``(a, b)`` stands for the weight ``(jf + a, hf + b)``, ``(p, q, r)`` for
+    the sector ``(p/q, r/q)``; ``vacuum`` is the vacuum sector's ``(cols, bmax)``.
     """
     ell = simple.flow
-    base = simple.flowed(-ell)
-    vacuum = isinstance(base, Vac)
-    if vacuum:
-        jf = hf = Fraction(0)
-    else:
-        jf, hf = base.coset, ell * base.coset % 1
-    cols = range(math.ceil(jmin - jf), math.floor(jmax - jf) + 1)
     # Column a has source column jf + a + ell and offset hf + off0 + ell*a,
     # so source weight h' lands at b = h' + off0 + ell*a, and b <= bmax.
-    off0 = math.floor(ell * jf) + ell * ell - ell * (ell + 1) // 2
-    bmax = math.floor(hmax - hf)
+    off0 = ell * (ell - 1) // 2
+    if isinstance(simple, Vac):
+        sector, (cols, bmax) = (0, 1, 0), vacuum
+    else:
+        jf = simple.coset
+        p, q = jf.numerator, jf.denominator
+        sector = (p, q, ell * p % q)
+        cols = range(math.ceil(jmin - jf), math.floor(jmax - jf) + 1)
+        off0 += ell * p // q
+        bmax = math.floor(hmax - Fraction(sector[2], q))
     ends = (cols[0], cols[-1]) if cols else ()
     needed = max((bmax - off0 - ell * a for a in ends), default=0)
-    return _Layout(vacuum, ell, (jf, hf), cols, off0, bmax, max(needed, 0))
+    return _Layout(sector[0] == 0, ell, sector, cols, off0, bmax, max(needed, 0))
 
 
 def _simple_character(layout: _Layout, rows: tuple[tuple[int, ...], ...]) -> dict:
@@ -391,22 +399,24 @@ def character(x, hmax=8, jwindow=(-6, 6)) -> CharSeries:
     """Character of a module or formal sum on the requested truncation."""
     jmin, jmax = _parse_window(jwindow)
     hmax = Fraction(hmax)
-    layouts = [(_layout(simple, hmax, jmin, jmax), k)
+    vacuum = range(math.ceil(jmin), math.floor(jmax) + 1), math.floor(hmax)
+    layouts = [(_layout(simple, hmax, jmin, jmax, vacuum), k)
                for simple, k in composition_factors(x).items()]
     # one table for every factor, so its weight limit is checked before any build
     rows = free_monomial_counts(max((layout.weight for layout, _ in layouts), default=0))
     # sector -> (column indices, column a -> run); the runs of a sector all
     # end at its bmax, so the factors add column by column
-    sectors: dict[tuple[Fraction, Fraction], tuple[range, dict]] = {}
+    sectors: dict[tuple[int, int, int], tuple[range, dict]] = {}
     for layout, k in layouts:
         runs = sectors.setdefault(layout.sector, (layout.cols, {}))[1]
         for a, (lo, counts) in _simple_character(layout, rows).items():
             run = (lo, counts if k == 1 else [k * d for d in counts])
             runs[a] = _add_runs(runs[a], run) if a in runs else run
-    bounds: dict[Fraction, Fraction] = {}
-    grids = {}
-    for (jf, hf), (cols, runs) in sectors.items():
-        bounds.update(dict.fromkeys([jf + a for a in cols], hmax))
+    bounds, grids = {}, {}
+    for (p, q, r), (cols, runs) in sectors.items():
+        jf, hf = Fraction(p, q), Fraction(r, q)
+        if cols:
+            bounds[jf] = dict.fromkeys(cols, hmax)
         if runs:
             grid = grids[(jf, hf)] = {}
             for a, (lo, counts) in runs.items():
@@ -414,46 +424,36 @@ def character(x, hmax=8, jwindow=(-6, 6)) -> CharSeries:
     return CharSeries._from_sectors(bounds, grids)
 
 
-def char_flow(ch: CharSeries, ell: int, *, require=None) -> CharSeries:
+def char_flow(ch: CharSeries, ell: int) -> CharSeries:
     """Regrade a character by spectral flow, tracking certified bounds.
 
     Each entry ``(j, h, d)`` moves to ``flow_weight((j, h), ell)``, computed
     as ``(j - ell, h + ell*j - ell(ell+1)/2)`` on the stored keys, and the
     certified bound of a target column is the image of the source bound, so
-    the result reports exactly which region is determined.  Passing
-    ``require = (hmax, (jmin, jmax))`` asserts that the certified image
-    covers that region and raises :class:`TruncationError` if the source
-    truncation was too shallow for it.
+    the result reports exactly which region is determined.
     """
-    half = Fraction(ell * (ell + 1), 2)
-    bounds: dict[Fraction, Fraction] = {}
-    for j_src, b in ch.col_hmax.items():
-        j_tgt = j_src - ell
-        bounds[j_tgt] = b + ell * j_src - half
+    half = ell * (ell + 1) // 2
+    # column jf + a moves to jf + a - ell, its bound to (bound + ell*jf - half) + ell*a
+    bounds, sectors = {}, {}
+    for jf, cols in ch._bounds.items():
+        moved = _per_bound(cols, lambda bound: bound + ell * jf - half)
+        bounds[jf] = {a - ell: moved[a] + ell * a for a in cols}
     # (jf + a, hf + b) moves to (jf + a - ell, hf' + b + ell*a + k), where
     # hf + ell*jf - ell(ell+1)/2 = hf' + k with hf' in [0, 1)
-    sectors = {}
     for (jf, hf), grid in ch._sectors.items():
         hf_tgt, k = _split(hf + ell * jf - half)
         sectors[(jf, hf_tgt)] = {(a - ell, b + ell * a + k): d for (a, b), d in grid.items()}
-    out = CharSeries._from_sectors(bounds, sectors)
-    if require is not None:
-        want_hmax = Fraction(require[0])
-        jmin, jmax = _parse_window(require[1])
-        for j, b in bounds.items():
-            if jmin <= j <= jmax and b < want_hmax:
-                raise TruncationError(
-                    f"column {j} certified only to h <= {b}, need {want_hmax}; "
-                    "recompute the source with a larger truncation")
-    return out
+    return CharSeries._from_sectors(bounds, sectors)
 
 
 def char_dual(ch: CharSeries) -> CharSeries:
     """Regrade by the restricted dual: ``(j, h) -> (1 - j, h)``."""
-    bounds = {1 - j: b for j, b in ch.col_hmax.items()}
-    sectors = {}
+    # 1 - (jf + a) = jd + (c - a) with jd in [0, 1) and c an integer
+    bounds, sectors = {}, {}
+    for jf, cols in ch._bounds.items():
+        jd, c = _split(1 - jf)
+        bounds[jd] = {c - a: bound for a, bound in cols.items()}
     for (jf, hf), grid in ch._sectors.items():
-        # 1 - (jf + a) = jd + (c - a) with jd in [0, 1) and c an integer
         jd, c = _split(1 - jf)
         sectors[(jd, hf)] = {(c - a, b): d for (a, b), d in grid.items()}
     return CharSeries._from_sectors(bounds, sectors)

@@ -48,7 +48,7 @@ class _Scanner:
         if self.pos < len(self.text) and self.text[self.pos] in "+-":
             self.pos += 1
         digits = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and self.text[self.pos].isdecimal():
             self.pos += 1
         if self.pos == digits:
             raise ParseError("expected an integer", start)
@@ -111,7 +111,7 @@ def _atom(sc: _Scanner) -> Module:
 def _term(sc: _Scanner) -> tuple[Module, int]:
     mult = 1
     # a leading digit, so the multiplicity has no sign
-    if sc.peek().isdigit():
+    if sc.peek().isdecimal():
         mult = sc.integer()
         sc.expect("*")
     return _atom(sc), mult

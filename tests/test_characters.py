@@ -1,5 +1,7 @@
 import functools
 import hashlib
+import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -195,6 +197,19 @@ EDGE_WINDOW = (Fraction(-5, 2), 3)
 EDGE_BASES = (vac(0), typ(THIRD, 0), typ(Fraction(2, 7), 0), typ(Fraction(1, 2), 0))
 
 
+def require_certified(ch, hmax, jwindow):
+    # test-only check that the certified region of ``ch`` covers ``h <= hmax``
+    # on every column of the window; returns ``ch``
+    want_hmax = Fraction(hmax)
+    jmin, jmax = Fraction(jwindow[0]), Fraction(jwindow[1])
+    for j, b in ch.col_hmax.items():
+        if jmin <= j <= jmax and b < want_hmax:
+            raise TruncationError(
+                f"column {j} certified only to h <= {b}, need {want_hmax}; "
+                "recompute the source with a larger truncation")
+    return ch
+
+
 @functools.cache
 def _deep_edge_character(base):
     # deep and wide enough to certify every flow |ell| <= 3 on EDGE_WINDOW
@@ -206,7 +221,7 @@ def _deep_edge_character(base):
 @pytest.mark.parametrize("base", EDGE_BASES, ids=str)
 def test_integer_grids_at_fractional_edges(base, ell, hmax):
     direct = character(flow(base, ell), hmax, EDGE_WINDOW)
-    moved = char_flow(_deep_edge_character(base), ell, require=(hmax, EDGE_WINDOW))
+    moved = require_certified(char_flow(_deep_edge_character(base), ell), hmax, EDGE_WINDOW)
     lo, hi = EDGE_WINDOW
     assert set(direct.col_hmax) == {j for j in moved.col_hmax if lo <= j <= hi}
     assert dict(direct.coeffs) == {(j, h): d for (j, h), d in moved.coeffs.items()
@@ -263,13 +278,13 @@ def test_truncation_error_when_requested_region_uncertified():
     shallow = character(vac(0), 2, (-1, 1))
     # a big downward flow pushes certified bounds below the requested region
     with pytest.raises(TruncationError):
-        char_flow(shallow, -8, require=(0, (7, 9)))
+        require_certified(char_flow(shallow, -8), 0, (7, 9))
     # the same transform succeeds when nothing extra is demanded
     moved = char_flow(shallow, -8)
     assert moved.bound(8) < 0
     # and a deep enough source certifies the region
     deep = character(vac(0), 40, (-1, 1))
-    char_flow(deep, -8, require=(0, (7, 9)))
+    require_certified(char_flow(deep, -8), 0, (7, 9))
 
 
 def test_coeff_access_guards():
@@ -319,6 +334,146 @@ def test_series_keeps_its_own_column_bounds():
     bounds[F(0)] = F(-5)
     assert series.coeff(0, 1) == 3
     assert series == CharSeries({F(0): F(2)}, {(F(0), F(1)): 3})
+
+
+def _split(x):
+    n = math.floor(x)
+    return x - n, n
+
+
+class FractionKeyedSeries:
+    """Test-only oracle for the certified-region arithmetic of ``CharSeries``:
+    bounds kept eagerly as ``{j: bound}`` with ``Fraction`` keys, and regions
+    intersected by splitting each column's key in turn."""
+
+    def __init__(self, col_hmax, coeffs):
+        self.col_hmax = {Fraction(j): b for j, b in col_hmax.items()}
+        self.sectors = {}
+        for (j, h), d in coeffs.items():
+            (jf, a), (hf, b) = _split(Fraction(j)), _split(Fraction(h))
+            self.sectors.setdefault((jf, hf), {})[(a, b)] = d
+
+    @classmethod
+    def character(cls, x, hmax, jwindow):
+        # every column of the window in the ghost coset of each factor
+        jmin, jmax = Fraction(jwindow[0]), Fraction(jwindow[1])
+        cosets = {getattr(simple, "coset", Fraction(0)) for simple in composition_factors(x)}
+        bounds = {c + a: Fraction(hmax) for c in cosets
+                  for a in range(math.ceil(jmin - c), math.floor(jmax - c) + 1)}
+        return cls(bounds, character(x, hmax, jwindow).coeffs)
+
+    @property
+    def coeffs(self):
+        return {(jf + a, hf + b): d for (jf, hf), grid in self.sectors.items()
+                for (a, b), d in grid.items()}
+
+    def flowed(self, ell):
+        half = Fraction(ell * (ell + 1), 2)
+        return FractionKeyedSeries(
+            {j - ell: b + ell * j - half for j, b in self.col_hmax.items()},
+            {(j - ell, h + ell * j - half): d for (j, h), d in self.coeffs.items()})
+
+    def dualed(self):
+        return FractionKeyedSeries({1 - j: b for j, b in self.col_hmax.items()},
+                                   {(1 - j, h): d for (j, h), d in self.coeffs.items()})
+
+    def _common_bounds(self, other):
+        return {j: min(self.col_hmax[j], other.col_hmax[j])
+                for j in set(self.col_hmax) & set(other.col_hmax)}
+
+    def _inside(self, bounds):
+        by_frac = {}
+        for j, bound in bounds.items():
+            jf, a = _split(j)
+            by_frac.setdefault(jf, {})[a] = bound
+        out = {}
+        for (jf, hf), grid in self.sectors.items():
+            limits = {a: math.floor(bound - hf) for a, bound in by_frac.get(jf, {}).items()}
+            kept = {(a, b): d for (a, b), d in grid.items()
+                    if a in limits and b <= limits[a]}
+            if kept:
+                out[(jf, hf)] = kept
+        return out
+
+    def __add__(self, other):
+        bounds = self._common_bounds(other)
+        total = {}
+        for side in (self, other):
+            for (jf, hf), grid in side._inside(bounds).items():
+                for (a, b), d in grid.items():
+                    total[(jf + a, hf + b)] = total.get((jf + a, hf + b), 0) + d
+        return FractionKeyedSeries(bounds, total)
+
+    def __eq__(self, other):
+        return self.col_hmax == other.col_hmax and self.sectors == other.sectors
+
+    def points_inside(self, other):
+        return sum(map(len, self._inside(self._common_bounds(other)).values()))
+
+    def agrees_with(self, other, *, min_points=1):
+        bounds = self._common_bounds(other)
+        mine = self._inside(bounds)
+        return (mine == other._inside(bounds)
+                and sum(map(len, mine.values())) >= min_points)
+
+
+def _bounds_text(col_hmax):
+    return ",".join(f"{j}:{b}" for j, b in sorted(col_hmax.items()))
+
+
+def _oracle_pairs():
+    # (series, its oracle twin), each built independently of the other
+    F = Fraction
+    pairs = []
+    for x, hmax, window in (
+            ("W[2/7,0] + W[2/7,1]", 8, WINDOW),       # two sectors share one jf
+            ("W[2/7,0] + W[2/7,1]", F(7, 2), EDGE_WINDOW),
+            ("W[1/3,1]", 10, (-6, 6)),                # deeper than its neighbour below
+            ("W[1/3,1] + V[2]", 8, (-6, 6)),
+            ("V[0]", F(17, 3), (F(-1, 2), 4)),
+            ("B[3,-1] + 2*P[0]", 8, (-6, 2)),          # partly overlapping windows
+            ("B[3,-1] + 2*P[0]", 7, (-1, 6)),
+            ("V[0]", 8, (3, 6))):                      # disjoint from (-6, 2)
+        expr = parse_module_expr(x)
+        pairs.append((character(expr, hmax, window),
+                      FractionKeyedSeries.character(expr, hmax, window)))
+    for x in ("V[0]", "W[1/3,0]"):                     # flows: bounds differ per column
+        expr = parse_module_expr(x)
+        src, twin = character(expr, 20, (-7, 7)), FractionKeyedSeries.character(expr, 20, (-7, 7))
+        pairs += [(char_flow(src, ell), twin.flowed(ell)) for ell in (-2, 1, 3)]
+    expr = parse_module_expr("B[3,-1] + W[1/3,1]")
+    pairs.append((char_dual(character(expr, 8, (-9, 9))),
+                  FractionKeyedSeries.character(expr, 8, (-9, 9)).dualed()))
+    for col_hmax, coeffs in (                          # the public constructor
+            ({0: 2, 1: 5, F(1, 3): F(7, 2)}, {(0, 1): 3, (1, 4): 1, (F(1, 3), F(4, 3)): 2}),
+            ({F(0): F(3), F(1, 3): F(5, 2), F(4, 3): 6},
+             {(0, 1): 3, (F(1, 3), F(1, 3)): 1, (F(1, 3), F(7, 3)): 4, (F(4, 3), 2): 5})):
+        pairs.append((CharSeries(col_hmax, coeffs), FractionKeyedSeries(col_hmax, coeffs)))
+    return pairs
+
+
+def test_integer_bounds_match_the_fraction_keyed_oracle():
+    pairs = _oracle_pairs()
+    for ch, twin in pairs:
+        assert ch.col_hmax == twin.col_hmax
+        assert _bounds_text(ch.col_hmax) == _bounds_text(twin.col_hmax)
+        assert ch.coeffs == twin.coeffs
+    overlapping = 0
+    for (x, ox), (y, oy) in itertools.product(pairs, repeat=2):
+        total, twin_total = x + y, ox + oy
+        assert total.col_hmax == twin_total.col_hmax
+        assert _bounds_text(total.col_hmax) == _bounds_text(twin_total.col_hmax)
+        assert total.coeffs == twin_total.coeffs
+        assert total == CharSeries(twin_total.col_hmax, twin_total.coeffs)
+        assert (x == y) == (ox == oy)
+        n = ox.points_inside(oy)
+        overlapping += n > 0
+        for k in (1, n, n + 1):
+            assert x.agrees_with(y, min_points=k) == ox.agrees_with(oy, min_points=k)
+    # the pairs include disjoint and partly overlapping regions, and
+    # agreeing ones besides each series with itself
+    assert 0 < overlapping < len(pairs) ** 2
+    assert sum(x.agrees_with(y) for (x, _), (y, _) in itertools.product(pairs, repeat=2)) > len(pairs)
 
 
 def _table_digest_input(tag, ch):

@@ -296,6 +296,13 @@ def test_char_window_above_width_limit(tmp_path, capsys, monkeypatch, flags, cfg
     assert "2000000000 wide" in err and f"limit {characters.MAX_WINDOW_WIDTH}" in err
 
 
+def test_char_with_a_non_decimal_digit(capsys):
+    code, out, err = run(capsys, "char", "V[\u00b2]")
+    assert code == 1
+    assert out == ""
+    assert err == "error: expected an integer (at position 2)\n"
+
+
 def test_fuse_text_with_huge_multiplicity(capsys):
     code, out, _ = run(capsys, "fuse", "1000000000*B[3,0]", "B[3,0]")
     assert code == 0

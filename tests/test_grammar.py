@@ -90,6 +90,19 @@ def test_parse_errors_carry_positions():
         parse_module_expr("W[1/0,2]")
 
 
+def test_digits_are_the_decimal_digits_int_accepts():
+    # a superscript or other non-decimal digit is not an integer, and is
+    # reported at its own position; every decimal digit is one
+    for text, position in (("V[\u00b2]", 2), ("W[1/\u00b2,0]", 4), ("\u00b2*V[0]", 0)):
+        with pytest.raises(ParseError) as err:
+            parse_module_expr(text)
+        assert err.value.position == position, text
+    with pytest.raises(ParseError, match=r"expected an integer \(at position 2\)"):
+        parse_module_expr("V[\u00b2]")
+    assert parse_module_expr("V[\u0663]") == FormalSum.of(vac(3))
+    assert parse_module_expr("\u0662*P[-\u0661]") == FormalSum.of(proj(-1), 2)
+
+
 def test_single_module():
     assert parse_single_module("B[2,0]") == bstr(2, 0)
     with pytest.raises(ParseError):
