@@ -76,7 +76,8 @@ def _atom(sc: _Scanner) -> Module:
     sc.skip_ws()
     start = sc.pos
     letter = sc.peek()
-    if letter not in "VWBTP":
+    # at the end of input peek() gives "", which ``in`` finds in any string
+    if not letter or letter not in "VWBTP":
         raise ParseError("expected a module atom V/W/B/T/P", start)
     sc.pos += 1
     sc.expect("[")

@@ -2,6 +2,7 @@ import functools
 import hashlib
 import itertools
 import math
+import operator
 from fractions import Fraction
 
 import pytest
@@ -76,6 +77,32 @@ def test_table_rows_by_charge_match_enumeration():
         assert rows[0] == totals
 
 
+def full_width_suffix_table(max_weight):
+    """Test-only oracle for ``_build_suffix_table``: the knapsack run on
+    every charge -w..w, with no use of the symmetry under g -> -g, then the
+    same suffix sums, padding and transpose."""
+    counts = [[0] * (2 * w + 1) for w in range(max_weight + 1)]
+    counts[0][0] = 1
+    for n in range(1, max_weight + 1):
+        for s in (1, -1):
+            lo = n + s
+            for w in range(n, max_weight + 1):
+                row, prev = counts[w], counts[w - n]
+                hi = lo + len(prev)
+                row[lo:hi] = map(operator.add, row[lo:hi], prev)
+    for w, row in enumerate(counts):
+        suffix = list(itertools.accumulate(reversed(row)))[::-1]
+        pad = max_weight - w
+        counts[w] = [suffix[0]] * pad + suffix + [0] * pad
+    return tuple(zip(*counts))
+
+
+def test_half_width_table_matches_the_full_width_knapsack():
+    # 67 is the deepest table the char-grid benchmark builds
+    for top in [*range(41), 67]:
+        assert _build_suffix_table(top) == full_width_suffix_table(top), top
+
+
 def test_table_weight_limit_is_checked_before_building(monkeypatch):
     def no_build(weight):
         raise AssertionError(f"table build started for weight {weight}")
@@ -142,6 +169,51 @@ def test_character_matches_oracle_on_untwisted_simples():
         oracle = pbw_character_oracle(mod, 8, WINDOW)
         fast = character(mod, 8, WINDOW)
         assert oracle == fast
+
+
+def clamped_simple_character(layout, rows):
+    """Test-only oracle for ``_simple_character``: one loop for both kinds
+    of simple, clamping each column's lowest weight and its row to 0."""
+    vacuum, ell, _, cols, off0, bmax, _ = layout
+    top = len(rows) // 2
+    runs = {}
+    for a in cols:
+        off = off0 + ell * a
+        n = bmax - off + 1
+        lo = max(a + ell, 0) if vacuum else 0
+        if lo < n:
+            row = rows[max(a + ell + top, 0)] if vacuum else rows[0]
+            runs[a] = (lo + off, row[lo:n])
+    return runs
+
+
+@functools.cache
+def _suffix_table(top):
+    return _build_suffix_table(top)
+
+
+def test_column_reads_match_the_clamped_oracle():
+    modules = [make(ell) for ell in range(-6, 7) for make in (
+        vac, functools.partial(typ, THIRD), functools.partial(bstr, 3),
+        functools.partial(tstr, 3), proj)]
+    simples = {simple for mod in modules for simple in composition_factors(mod)}
+    negative = 0
+    # at flows -6..6 each window has columns that read charges g = a + ell on
+    # both sides of 0
+    for window in ((-9, 9), (3, 7), (-7, -3)):
+        jmin, jmax = map(Fraction, window)
+        for hmax in (Fraction(0), Fraction(8), Fraction(30), Fraction(7, 2)):
+            vacuum = range(math.ceil(jmin), math.floor(jmax) + 1), math.floor(hmax)
+            for simple in simples:
+                layout = characters._layout(simple, hmax, jmin, jmax, vacuum)
+                # a table of just the weight needed, and a deeper shared one
+                for top in (layout.weight, 80):
+                    rows = _suffix_table(top)
+                    runs = characters._simple_character(layout, rows)
+                    oracle = clamped_simple_character(layout, rows)
+                    assert runs == oracle and list(runs) == list(oracle), (simple, hmax, window)
+                negative += layout.vacuum and any(a + layout.ell < 0 for a in runs)
+    assert negative > 100
 
 
 def test_character_additivity_by_construction():

@@ -303,6 +303,14 @@ def test_char_with_a_non_decimal_digit(capsys):
     assert err == "error: expected an integer (at position 2)\n"
 
 
+@pytest.mark.parametrize("text", ["V[0] +", ""])
+def test_fuse_with_a_missing_atom_points_at_the_end(capsys, text):
+    code, out, err = run(capsys, "fuse", text, "V[1]")
+    assert code == 1
+    assert out == ""
+    assert err == f"error: expected a module atom V/W/B/T/P (at position {len(text)})\n"
+
+
 def test_fuse_text_with_huge_multiplicity(capsys):
     code, out, _ = run(capsys, "fuse", "1000000000*B[3,0]", "B[3,0]")
     assert code == 0

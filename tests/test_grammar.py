@@ -90,6 +90,14 @@ def test_parse_errors_carry_positions():
         parse_module_expr("W[1/0,2]")
 
 
+@pytest.mark.parametrize("text", ["", "   ", "V[0] +", "V[0] + ", "2*", "3 * "])
+def test_missing_atom_at_end_of_input_is_reported_at_the_end(text):
+    with pytest.raises(ParseError) as err:
+        parse_module_expr(text)
+    assert str(err.value) == f"expected a module atom V/W/B/T/P (at position {len(text)})"
+    assert err.value.position == len(text)
+
+
 def test_digits_are_the_decimal_digits_int_accepts():
     # a superscript or other non-decimal digit is not an integer, and is
     # reported at its own position; every decimal digit is one
