@@ -57,7 +57,7 @@ from .modules import Module, Vac, composition_factors, is_simple
 
 
 class TruncationError(ValueError):
-    """Raised when a transform leaves no certified entries at all."""
+    """Raised by :meth:`CharSeries.coeff` for ``h`` above a column's certified bound."""
 
 
 def _split(x) -> tuple[Fraction, int]:

@@ -1,6 +1,7 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 domain or validation error, 2 verification failure.
+Exit codes: 0 success, 1 usage, domain or validation error, 2 verification
+failure.
 All output is deterministic; ``--format json`` emits one JSON document on
 stdout (exact rationals serialized as strings).  A reader that closes stdout
 early (``ghostkit catalog | head``) ends the command quietly with code 1.
@@ -12,7 +13,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 # Each command imports the engines it runs (fusion, homalg, functors,
 # rigidity, verify), so one call loads only those.  ``characters`` stays
@@ -188,11 +189,7 @@ def _cmd_verify(args, cfg) -> tuple[dict, str]:
     results = verify.run_suites(names, cfg)
     payload = {
         "passed": all(c.passed for checks in results.values() for c in checks),
-        "suites": {
-            name: [{"name": c.name, "passed": c.passed, "detail": c.detail,
-                    "cases": c.cases} for c in checks]
-            for name, checks in results.items()
-        },
+        "suites": {name: [asdict(c) for c in checks] for name, checks in results.items()},
     }
     lines = []
     for name, checks in results.items():
@@ -203,8 +200,17 @@ def _cmd_verify(args, cfg) -> tuple[dict, str]:
     return payload, "\n".join(lines)
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors exit 1, like every other input
+    error: exit code 2 is kept for a verification failure."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ghostkit",
         description="Exact fusion, homological and character calculus for the "
                     "bosonic ghost module category.")
@@ -217,14 +223,14 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--format", choices=("text", "json", "csv"),
                         default=argparse.SUPPRESS)
     sub = parser.add_subparsers(dest="command", required=True,
-                                parser_class=lambda **kw: argparse.ArgumentParser(
-                                    parents=[common], **kw))
+                                parser_class=lambda **kw: _Parser(parents=[common], **kw))
 
-    # each flag that sets a config key is stored under the key's name
+    # each flag that sets a config key stores its text under the key's name,
+    # for ``config.PARSERS`` to read
     p = sub.add_parser("fuse", help="fusion product of two expressions")
     p.add_argument("left")
     p.add_argument("right")
-    p.add_argument("--strict-guards", action="store_true", default=None)
+    p.add_argument("--strict-guards", action="store_const", const="on")
     p.set_defaults(run=_cmd_fuse)
 
     for name, op, help_text in (("hom", "hom_dim", "dimension of the Hom space"),
@@ -265,14 +271,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=_cmd_rigidity)
 
     p = sub.add_parser("catalog", help="exact sequence catalog")
-    p.add_argument("--bound", type=int, dest="catalog_bound", metavar="BOUND")
+    p.add_argument("--bound", dest="catalog_bound", metavar="BOUND")
     p.set_defaults(run=_cmd_catalog)
 
     p = sub.add_parser("verify", help="run property verification suites")
     p.add_argument("--suite", choices=("all",) + _SUITE_NAMES,
                    default="all")
-    p.add_argument("--max-length", type=int, dest="pool_max_length", metavar="MAX_LENGTH")
-    p.add_argument("--max-flow", type=int, dest="pool_max_flow", metavar="MAX_FLOW")
+    p.add_argument("--max-length", dest="pool_max_length", metavar="MAX_LENGTH")
+    p.add_argument("--max-flow", dest="pool_max_flow", metavar="MAX_FLOW")
     p.set_defaults(run=_cmd_verify)
 
     return parser
@@ -294,9 +300,8 @@ def main(argv=None) -> int:
     flags = {key: getattr(args, key) for key in config.PARSERS
              if getattr(args, key, None) is not None}
     try:
-        # flags override the file; text flags go through the file's parsers
-        cfg = replace(cfg, **{key: config.PARSERS[key](value) if isinstance(value, str)
-                              else value for key, value in flags.items()})
+        # flags override the file, and their text goes through the file's parsers
+        cfg = replace(cfg, **{key: config.PARSERS[key](text) for key, text in flags.items()})
         payload, text = args.run(args, cfg)
         print(json.dumps(payload, indent=2, sort_keys=True)
               if args.format == "json" else text)

@@ -37,6 +37,15 @@ def parse_fraction(text: str, what: str) -> Fraction:
         raise ValueError(f"{what} must be a rational, got {text!r}") from None
 
 
+def parse_integer(text: str, what: str) -> int:
+    """Parse one integer, quoting the text in the error."""
+    text = text.strip()
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"{what} must be an integer, got {text!r}") from None
+
+
 def parse_jwindow(text: str) -> tuple[Fraction, Fraction]:
     parts = text.split(":")
     if len(parts) != 2:
@@ -64,15 +73,15 @@ def _parse_cosets(text: str) -> tuple[Fraction, ...]:
                  for part in text.split(",") if part.strip())
 
 
-# The parser of each config key's text.  A flag named after a key goes
-# through the same parser, so the file and the flag accept the same values.
+# The parser of each config key's text.  Every flag named after a key hands
+# its text to the same parser, so the file and the flag accept the same values.
 PARSERS = {
     "hmax": lambda text: parse_fraction(text, "hmax"),
     "jwindow": parse_jwindow,
-    "catalog_bound": int,
+    "catalog_bound": lambda text: parse_integer(text, "catalog_bound"),
     "strict_guards": _parse_bool,
-    "pool_max_length": int,
-    "pool_max_flow": int,
+    "pool_max_length": lambda text: parse_integer(text, "pool_max_length"),
+    "pool_max_flow": lambda text: parse_integer(text, "pool_max_flow"),
     "pool_cosets": _parse_cosets,
 }
 

@@ -55,7 +55,6 @@ class _Scanner:
         return int(self.text[start:self.pos])
 
     def fraction(self) -> Fraction:
-        start = self.pos
         num = self.integer()
         self.skip_ws()
         if self.peek() == "/":

@@ -26,8 +26,9 @@ projective and injective:
 The presentation kernels and cokernels are pinned by exactness: the
 composition factors of the cover must equal those of the module plus those
 of the kernel, and dually for hulls.  This balance requirement fixes the
-flow subscripts of the odd-length entries (see the tests, which enforce it
-for every module in the verification pool).
+flow subscripts of the odd-length entries (``verify``'s ``presentation
+balance`` check, criterion 6, enforces it for every module in the
+verification pool).
 """
 
 from __future__ import annotations

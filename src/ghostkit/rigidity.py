@@ -7,10 +7,11 @@ the closed form at the standard specialization ``w2 = 2*w1`` and verifies
 the identities that pin its factors:
 
 * the Gauss series value ``2F1(1-j, j; 1; 1/2)`` against its Gamma closed
-  form,
+  form, Bailey's summation at ``a = 1-j``,
 * ``B(1+u, 1-u) = pi*u / sin(pi*u)``,
 * the contiguity relation expressing ``2F1(-j, j; 1; x)`` through its two
-  parameter-shifted neighbours, each Gamma-evaluable at ``x = 1/2``.
+  parameter-shifted neighbours, Bailey's summation at ``a = 1-j`` and
+  ``a = -j`` when ``x = 1/2``.
 
 Everything is plain ``math``/``cmath``; exactness is not the point here,
 agreement to a relative ``IDENTITY_TOL`` on a parameter grid is.
@@ -24,12 +25,12 @@ import sys
 
 # each identity holds when its two sides agree to this relative deviation
 IDENTITY_TOL = 1e-10
-# the sweep's |I| must stay above this at every grid point
+# |I| must stay above this at every grid point
 NONVANISHING_FLOOR = 1e-8
 # the hypergeometric series stops when a term falls below this share of the sum
 _SERIES_RTOL = 1e-14
 _SERIES_MAX_TERMS = 100000
-# the sweep's grid spans [_GRID_LO, _GRID_HI] inside the coset range (0, 1)
+# the verification grid spans [_GRID_LO, _GRID_HI] inside the coset range (0, 1)
 _GRID_LO, _GRID_HI = 0.02, 0.98
 
 
@@ -64,25 +65,20 @@ def hyp2f1(a: float, b: float, c: float, x: float) -> float:
     raise ArithmeticError("hypergeometric series did not converge")
 
 
-def gauss_half_closed_form(j: float) -> float:
-    """Gamma closed form of ``2F1(1-j, j; 1; 1/2)``."""
-    return gamma_fn(0.5) * gamma_fn(1.0) / (gamma_fn(1.0 - j / 2.0)
-                                            * gamma_fn(0.5 + j / 2.0))
-
-
-def bailey_half_closed_form(j: float) -> float:
-    """Gamma closed form of ``2F1(-j, 1+j; 1; 1/2)``."""
-    return gamma_fn(0.5) * gamma_fn(1.0) / (gamma_fn(0.5 - j / 2.0)
-                                            * gamma_fn(1.0 + j / 2.0))
+def bailey_summation(a: float) -> float:
+    """Bailey's Gamma closed form of ``2F1(a, 1-a; 1; 1/2)``: ``Gamma(1/2)``
+    over ``Gamma((1+a)/2) Gamma(1-a/2)``."""
+    return gamma_fn(0.5) / (gamma_fn((1.0 + a) / 2.0) * gamma_fn(1.0 - a / 2.0))
 
 
 def contiguous_half_value(j: float) -> float:
     """``2F1(-j, j; 1; 1/2)`` via the contiguity relation.
 
     ``(a-b) F(a,b) = a F(a+1,b) - b F(a,b+1)`` at ``(a, b) = (-j, j)`` gives
-    the midpoint of the two Gamma-evaluable neighbours.
+    the midpoint of the two neighbours, Bailey's summation at ``1-j`` and
+    ``-j``.
     """
-    return 0.5 * (gauss_half_closed_form(j) + bailey_half_closed_form(j))
+    return 0.5 * (bailey_summation(1.0 - j) + bailey_summation(-j))
 
 
 def rigidity_constant(j: float, w1: float = 1.0, *, ell: int = 0) -> complex:
@@ -155,7 +151,7 @@ def identity_report(j: float) -> dict[str, float]:
         return abs(value - closed_form) / abs(closed_form)
 
     return {
-        "gauss": rel(hyp2f1(1.0 - j, j, 1.0, 0.5), gauss_half_closed_form(j)),
+        "gauss": rel(hyp2f1(1.0 - j, j, 1.0, 0.5), bailey_summation(1.0 - j)),
         "beta": rel(beta_fn(1.0 + j, 1.0 - j),
                     math.pi * j / math.sin(math.pi * min(j, 1.0 - j))),
         "contiguity": rel(hyp2f1(-j, j, 1.0, 0.5), contiguous_half_value(j)),
@@ -165,19 +161,3 @@ def identity_report(j: float) -> dict[str, float]:
 def identities_hold(j: float) -> bool:
     """Whether every identity holds at ``j`` to ``IDENTITY_TOL``; a NaN fails."""
     return all(dev < IDENTITY_TOL for dev in identity_report(j).values())
-
-
-def sweep(points: int = 50):
-    """Run the identity grid and the non-vanishing check.
-
-    Returns ``(identities_ok, nonvanishing_ok, min_abs_I)``.  Both flags
-    require the strict inequality at every grid point, so a NaN fails them.
-    """
-    identities_ok = nonvanishing_ok = True
-    min_abs = math.inf
-    for j in default_grid(points):
-        identities_ok &= identities_hold(j)
-        size = abs(rigidity_constant(j))
-        nonvanishing_ok &= size > NONVANISHING_FLOOR
-        min_abs = min(min_abs, size)
-    return identities_ok, nonvanishing_ok, min_abs

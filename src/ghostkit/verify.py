@@ -343,13 +343,14 @@ def characters_suite(cfg: Config | None = None) -> list[Check]:
 
 
 def numerics_suite(cfg: Config | None = None) -> list[Check]:
-    points = 50
-    identities_ok, nonvanishing_ok, min_abs = rigidity.sweep(points)
+    grid = rigidity.default_grid(50)
+    sizes = {j: abs(rigidity.rigidity_constant(j)) for j in grid}
     return [
-        Check("hypergeometric and beta identities", identities_ok,
-              f"grid points at {rigidity.IDENTITY_TOL:g}", points),
-        Check("rigidity constant non-vanishing", nonvanishing_ok,
-              f"grid points, min |I| = {min_abs:.3e}", points),
+        _check("hypergeometric and beta identities", ((j,) for j in grid),
+               rigidity.identities_hold, f"grid points at {rigidity.IDENTITY_TOL:g}"),
+        _check("rigidity constant non-vanishing", ((j,) for j in grid),
+               lambda j: sizes[j] > rigidity.NONVANISHING_FLOOR,
+               f"grid points, min |I| = {min(sizes.values()):.3e}"),
     ]
 
 

@@ -157,6 +157,11 @@ def test_oracle_weight_limit_is_checked_before_enumerating(monkeypatch):
         characters_suite(Config(hmax=Fraction(too_big)))
 
 
+def test_empty_window_is_refused():
+    with pytest.raises(ValueError, match=r"empty ghost window \(1, 0\)"):
+        character(vac(0), 8, (1, 0))
+
+
 def test_oracle_rejects_twisted_and_composite():
     with pytest.raises(ValueError):
         pbw_character_oracle(vac(1), 4, WINDOW)

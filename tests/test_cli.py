@@ -271,6 +271,76 @@ def test_config_file_changes_defaults(tmp_path, capsys, monkeypatch):
     assert json.loads(out)["hmax"] == "1"
 
 
+@pytest.mark.parametrize("line, complaint", [
+    ("frobnicate = 1", "unknown config key 'frobnicate'"),
+    ("strict_guards = maybe", "not a boolean: 'maybe'"),
+    ("jwindow = 3:1", "empty jwindow '3:1'"),
+])
+def test_bad_config_value_is_named(tmp_path, capsys, line, complaint):
+    cfg = tmp_path / "ghostkit.cfg"
+    cfg.write_text(line + "\n")
+    code, out, err = run(capsys, "--config", str(cfg), "hom", "V[0]", "V[0]")
+    assert code == 1
+    assert out == ""
+    assert err == f"config error: {complaint}\n"
+
+
+def test_strict_guards_off_in_the_file_yields_to_the_flag(tmp_path, capsys):
+    cfg = tmp_path / "ghostkit.cfg"
+    cfg.write_text("strict_guards = off\n")
+    code, out, _ = run(capsys, "--config", str(cfg), "fuse", "B[3,0]", "B[4,0]")
+    assert code == 0
+    assert out.strip().endswith("guard-extended: true")
+    code, out, err = run(capsys, "--config", str(cfg), "fuse", "B[3,0]", "B[4,0]",
+                         "--strict-guards")
+    assert code == 1
+    assert out == ""
+    assert "guard" in err
+
+
+@pytest.mark.parametrize("command, flag, key", [
+    ("catalog", "--bound", "catalog_bound"),
+    ("verify", "--max-length", "pool_max_length"),
+    ("verify", "--max-flow", "pool_max_flow"),
+])
+@pytest.mark.parametrize("from_file", [False, True])
+def test_integer_setting_is_read_alike_from_flag_and_file(tmp_path, capsys, command, flag,
+                                                          key, from_file):
+    cfg = tmp_path / "ghostkit.cfg"
+    cfg.write_text(f"{key} = abc\n" if from_file else "")
+    flags = [] if from_file else [flag, "abc"]
+    code, out, err = run(capsys, "--config", str(cfg), command, *flags)
+    assert code == 1
+    assert out == ""
+    prefix = "config error: " if from_file else "error: "
+    assert err == f"{prefix}{key} must be an integer, got 'abc'\n"
+
+
+@pytest.mark.parametrize("argv, complaint", [
+    (["verify", "--max-lenght", "3"], "unrecognized arguments: --max-lenght 3"),
+    (["fuse", "V[0]"], "the following arguments are required: right"),
+    (["verify", "--suite", "nope"], "argument --suite: invalid choice"),
+])
+def test_usage_error_exits_1(argv, complaint):
+    # exit code 2 means a verification failure, so argparse's 2 is not used
+    src = str(Path(ghostkit.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "ghostkit.cli", *argv], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("usage: ghostkit")
+    assert complaint in proc.stderr
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: ghostkit verify")
+
+
 def test_bad_config_exit_code(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("nonsense\n")

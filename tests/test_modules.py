@@ -52,6 +52,18 @@ def test_factories_refuse_non_integral_values():
             make(*args)
 
 
+def test_label_constructors_refuse_non_int_fields():
+    # the classes themselves take ints only; the factories above convert
+    for make in (lambda: Vac(1.5), lambda: Typ(Fraction(1, 3), 1.5), lambda: BStr(2.0, 0),
+                 lambda: Proj("1")):
+        with pytest.raises(TypeError, match="must be (an int|ints)"):
+            make()
+    with pytest.raises(ValueError, match="string length must be >= 1, got 0"):
+        tstr(0)
+    with pytest.raises(TypeError, match="multiplicity must be an int, got 1.5"):
+        FormalSum([(vac(0), 1.5)])
+
+
 def test_typ_normalizes_coset():
     assert typ(Fraction(-1, 3), 0) == typ(Fraction(2, 3), 0)
     assert typ(Fraction(4, 3), 5).coset == Fraction(1, 3)

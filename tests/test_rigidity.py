@@ -3,10 +3,10 @@ import math
 import pytest
 
 from ghostkit.rigidity import (
-    bailey_half_closed_form, beta_fn, contiguous_half_value, default_grid,
-    gamma_fn, gauss_half_closed_form, hyp2f1, identities_hold, identity_report,
-    rigidity_constant, sweep,
+    bailey_summation, beta_fn, contiguous_half_value, default_grid, gamma_fn,
+    hyp2f1, identities_hold, identity_report, rigidity_constant,
 )
+from ghostkit.verify import numerics_suite
 
 GRID = default_grid(50)
 
@@ -53,7 +53,7 @@ def test_hyp2f1_domain_errors():
 def test_gauss_half_identity_on_grid():
     for j in GRID:
         lhs = hyp2f1(1 - j, j, 1.0, 0.5)
-        assert abs(lhs - gauss_half_closed_form(j)) < 1e-10, j
+        assert abs(lhs - bailey_summation(1 - j)) < 1e-10, j
 
 
 def test_contiguity_identity_on_grid():
@@ -63,13 +63,12 @@ def test_contiguity_identity_on_grid():
         rhs = 0.5 * (hyp2f1(1 - j, j, 1.0, 0.5) + hyp2f1(-j, 1 + j, 1.0, 0.5))
         assert abs(lhs - rhs) < 1e-12, j
         assert abs(lhs - contiguous_half_value(j)) < 1e-10, j
-        assert abs(hyp2f1(-j, 1 + j, 1.0, 0.5) - bailey_half_closed_form(j)) \
-            < 1e-10, j
+        assert abs(hyp2f1(-j, 1 + j, 1.0, 0.5) - bailey_summation(-j)) < 1e-10, j
 
 
 def test_both_final_factors_gamma_evaluable_and_positive():
     for j in GRID:
-        assert gauss_half_closed_form(j) > 0
+        assert bailey_summation(1 - j) > 0
         assert contiguous_half_value(j) > 0
 
 
@@ -105,10 +104,10 @@ def test_rigidity_constant_domain():
 def test_identity_report_and_sweep():
     devs = identity_report(0.41)
     assert max(devs.values()) < 1e-10
-    identities_ok, nonvanishing_ok, min_abs = sweep(50)
-    assert identities_ok
-    assert nonvanishing_ok
-    assert min_abs > 1e-8
+    identities, nonvanishing = numerics_suite()
+    assert identities.passed and identities.cases == len(GRID)
+    assert nonvanishing.passed and nonvanishing.cases == len(GRID)
+    assert min(abs(rigidity_constant(j)) for j in GRID) > 1e-8
 
 
 @pytest.mark.parametrize("j", [0.9999999, 0.99999999, 1 - 1e-12])

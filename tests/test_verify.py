@@ -7,7 +7,9 @@ import pytest
 from ghostkit.cli import main
 from ghostkit.config import Config
 from ghostkit.modules import BStr, Proj, TStr, Typ, Vac
-from ghostkit.verify import MAX_POOL_COSETS, SUITES, fusion_suite, pool_modules, run_suites
+from ghostkit.verify import (
+    MAX_POOL_COSETS, SUITES, fusion_suite, numerics_suite, pool_modules, run_suites,
+)
 
 
 def test_pool_composition():
@@ -85,3 +87,20 @@ def test_failed_check_names_its_count_and_first_case(monkeypatch):
     lines = [check.line() for check in verify_mod.homalg_suite(cfg)]
     assert "FAIL hom table (144 cases; flow offsets -4..4; 1 failed, first at P[0], P[0])" \
         in lines
+
+
+@pytest.mark.parametrize("check, patched, broken", [
+    ("hypergeometric and beta identities", "identity_report",
+     lambda real, j: {**real(j), "gauss": 1.0}),
+    ("rigidity constant non-vanishing", "rigidity_constant", lambda real, j: 0.0),
+])
+def test_numerics_failure_names_its_grid_point(monkeypatch, check, patched, broken):
+    from ghostkit import rigidity
+
+    bad = rigidity.default_grid(50)[17]
+    real = getattr(rigidity, patched)
+    monkeypatch.setattr(rigidity, patched, lambda j: broken(real, j) if j == bad else real(j))
+    result = {c.name: c for c in numerics_suite()}[check]
+    assert not result.passed
+    assert result.cases == 50
+    assert result.detail.endswith(f"; 1 failed, first at {bad}")
