@@ -23,6 +23,21 @@ projective and injective:
 
     ext(M, N) = hom(K, N) - hom(P0, N) + hom(M, N).
 
+The cover ``P0`` has one ``P[l]`` per head factor ``V[l]`` of ``M``, and
+``hom(P[l], N) = [N : V[l]]``, so the middle term is read from labels as
+``sum over the head (V[l], k) of M of k * [N : V[l]]``; no cover is built.
+A simple or string ``N`` has each flow of its span as a factor exactly once.
+
+The support rule: the vacuum block is the quiver with vertices ``l`` and
+arrows ``l -> l+1`` and ``l -> l-1`` (``P[l]`` is the diamond with
+``V[l-1] + V[l+1]`` in its middle row), so ``Hom(M, N)`` needs a
+composition factor common to ``M`` and ``N``, and ``Ext^1(M, N)`` a factor
+of ``M`` and one of ``N`` at flows at most 1 apart.  The factor span of a
+label is ``(l, l)`` for ``V[l]`` and ``W[c,l]``, ``(m, m+n-1)`` for
+``B[n,m]`` and ``T[n,m]`` and ``(m-1, m+1)`` for ``P[m]``; when the spans of
+two labels are more than 1 apart, both Hom and Ext are 0 before any segment
+is listed.
+
 The presentation kernels and cokernels are pinned by exactness: the
 composition factors of the cover must equal those of the module plus those
 of the kernel, and dually for hulls.  This balance requirement fixes the
@@ -36,8 +51,8 @@ from __future__ import annotations
 from collections import Counter
 
 from .modules import (
-    BOTTOM, TOP, BStr, ExactSequence, FormalSum, Module, Proj, TStr, as_sum,
-    bstr, head, is_projective, socle,
+    BOTTOM, TOP, BStr, ExactSequence, FormalSum, Module, Proj, TStr, Typ, Vac,
+    as_sum, bstr, head, is_projective, socle,
 )
 
 
@@ -56,13 +71,37 @@ def _segments(word, closed: str):
             yield flow, j - i + 1, row if j > i else None
 
 
+def _span(mod: Module) -> tuple[int, int]:
+    # the least and greatest flow of a composition factor of mod
+    if isinstance(mod, Proj):
+        return mod.m - 1, mod.m + 1
+    if isinstance(mod, (BStr, TStr)):
+        return mod.m, mod.m + mod.n - 1
+    return mod.ell, mod.ell
+
+
+def _apart(m: Module, n: Module) -> bool:
+    """Whether the factor spans of ``m`` and ``n`` are more than 1 apart, so
+    that both Hom and Ext between them vanish."""
+    lo_m, hi_m = _span(m)
+    lo_n, hi_n = _span(n)
+    return lo_n > hi_m + 1 or lo_m > hi_n + 1
+
+
+def _simple_top(p: Module) -> Module:
+    # the simple head, and socle, of a projective
+    return p if isinstance(p, Typ) else Vac(p.m)
+
+
 def _hom_modules(m: Module, n: Module) -> int:
+    if _apart(m, n):
+        return 0
     # a projective source sees the factors of n equal to its head, and a
     # projective (so injective) target the factors of m equal to its socle
     if is_projective(m):
-        return sum(n.factors().count(s) for s in head(m).modules())
+        return n.factors().count(_simple_top(m))
     if is_projective(n):
-        return sum(m.factors().count(s) for s in socle(n).modules())
+        return m.factors().count(_simple_top(n))
     # Both sides now live in the vacuum sector (simple or string).
     subs = Counter(_segments(n.rows(), TOP))
     return sum(subs[lab] for lab in _segments(m.rows(), BOTTOM))
@@ -127,12 +166,20 @@ def presentation_cokernel(mod: Module) -> Module:
     return presentation_kernel(mod.starred()).starred()
 
 
+def _cover_hom(m: Module, n: Module) -> int:
+    """``hom(P0, n)`` for the projective cover ``P0`` of ``m``, both ``m``
+    and ``n`` simple or strings: the head factors of ``m`` in ``n``'s span."""
+    lo, hi = _span(n)
+    if isinstance(m, Vac):
+        return int(lo <= m.ell <= hi)
+    return sum(1 for flow, row in m.rows() if row == TOP and lo <= flow <= hi)
+
+
 def _ext_modules(m: Module, n: Module) -> int:
-    if is_projective(m) or is_projective(n):
+    if is_projective(m) or is_projective(n) or _apart(m, n):
         return 0
-    p0 = projective_cover(m)
     k = presentation_kernel(m)
-    return hom_dim(k, n) - hom_dim(p0, n) + hom_dim(m, n)
+    return _hom_modules(k, n) - _cover_hom(m, n) + _hom_modules(m, n)
 
 
 def ext_dim(m, n) -> int:

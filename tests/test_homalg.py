@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from ghostkit import homalg
 from ghostkit.functors import dual_star, flow
 from ghostkit.homalg import (
     ext_dim, euler_check, hom_dim, injective_hull, presentation_cokernel,
@@ -177,6 +178,28 @@ def test_hom_ext_duality_and_flow_symmetry():
             e = ext_dim(a, b)
             assert e == ext_dim(dual_star(b), dual_star(a))
             assert e == ext_dim(flow(a, -2), flow(b, -2))
+
+
+def test_support_rule_changes_no_answer(monkeypatch):
+    # with the support test switched off only the segment and multiplicity
+    # route is left; it must give the shipped answer on every ordered pair
+    pool = pool_modules(max_length=6, max_flow=4, cosets=(THIRD, Fraction(2, 3)))
+    pairs = [(a, b) for a in pool for b in pool]
+    assert len(pairs) == 126 ** 2
+    shipped = [(hom_dim(a, b), ext_dim(a, b)) for a, b in pairs]
+    # 5,886 of the 15,876 pairs are apart
+    apart = sum(homalg._apart(a, b) for a, b in pairs)
+    assert apart > len(pairs) // 3
+    monkeypatch.setattr(homalg, "_apart", lambda m, n: False)
+    assert [(hom_dim(a, b), ext_dim(a, b)) for a, b in pairs] == shipped
+
+
+def test_cover_term_is_hom_out_of_the_cover():
+    pool = [mod for mod in pool_modules() if not is_projective(mod)]
+    for m in pool:
+        cover = projective_cover(m)
+        for n in pool:
+            assert homalg._cover_hom(m, n) == hom_dim(cover, n), (m, n)
 
 
 def test_hom_bilinearity():
