@@ -18,8 +18,12 @@ Labels are immutable ``__slots__`` objects.  Each validates its fields and
 then stores, once, its sort key (family rank, then fields, with relaxed
 labels ordered by the value of their coset), an identity key made of ints
 only (the coset as numerator and denominator) and the hash of that key.
-Equality and hashing therefore run no ``Fraction`` arithmetic, and
-:class:`FormalSum` sorts its terms on the stored key.
+Equality and hashing therefore run no ``Fraction`` arithmetic.
+
+Every sum is merged by one function, ``_merge``: terms are merged on the
+identity key and sorted on the stored sort key.  A term whose label occurs
+once is kept as the very tuple it came in, so sums built from other sums
+share their term tuples instead of copying them.
 
 A string ``B[n,m]`` has composition factors ``V[m], ..., V[m+n-1]`` with the
 factor at offset ``k`` in the bottom row iff ``k`` is even; ``T[n,m]`` uses
@@ -37,7 +41,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 from typing import Iterable, Iterator, Union
 
 from .weights import coset, coset_str
@@ -250,7 +254,6 @@ class Proj(_Label):
 Module = Union[Vac, Typ, BStr, TStr, Proj]
 
 _KEY = attrgetter("_key")
-_FIRST = itemgetter(0)
 
 
 def _integral(x, what: str) -> int:
@@ -321,20 +324,40 @@ def is_injective(mod: Module) -> bool:
     return is_projective(mod)
 
 
+def _term_key(term: tuple[Module, int]) -> tuple:
+    return term[0]._key
+
+
+def _merge(terms: Iterable[tuple[Module, int]]) -> tuple[tuple[Module, int], ...]:
+    """Merge checked ``(label, positive int)`` terms and sort them: the one
+    merge of every sum.  Terms are merged on the identity key, whose hash and
+    equality run in C, and sorted on the stored sort key.  A label that occurs
+    once keeps its incoming tuple; the terms of a repeated label become one
+    new tuple led by its first label."""
+    merged: dict[tuple, tuple[Module, int]] = {}
+    for term in terms:
+        ident = term[0]._id
+        seen = merged.get(ident)
+        merged[ident] = term if seen is None else (seen[0], seen[1] + term[1])
+    return tuple(sorted(merged.values(), key=_term_key))
+
+
 class FormalSum:
     """A direct sum of canonical modules with positive integer multiplicities.
 
     Immutable; terms are kept sorted so equality and hashing are structural.
-    The empty sum stands for the zero module.
+    The empty sum stands for the zero module.  The constructor checks its
+    terms and merges them with ``_merge``; sums of sums skip the check and
+    share the term tuples that need no merging.  Being immutable, a sum and
+    its term tuples may be shared freely.
     """
 
     __slots__ = ("_terms", "_hash")
 
     def __init__(self, terms: Iterable[tuple[Module, int]] = ()):
-        # Terms are merged on the identity key, whose hash and equality run
-        # in C, and sorted on the stored sort key.
-        combined: dict[tuple, list] = {}
-        for mod, mult in terms:
+        checked: list[tuple[Module, int]] = []
+        for term in terms:
+            mod, mult = term
             if not isinstance(mult, int):
                 raise TypeError(f"multiplicity must be an int, got {mult!r}")
             if mult < 0:
@@ -343,13 +366,8 @@ class FormalSum:
                 continue
             if not isinstance(mod, _Label):
                 raise TypeError(f"not a canonical module: {mod!r}")
-            entry = combined.get(mod._id)
-            if entry is None:
-                combined[mod._id] = [mod._key, mod, mult]
-            else:
-                entry[2] += mult
-        ordered = sorted(combined.values(), key=_FIRST)
-        self._terms = tuple([(mod, mult) for _, mod, mult in ordered])
+            checked.append(term if term.__class__ is tuple else (mod, mult))
+        self._terms = _merge(checked)
         self._hash = None
 
     @classmethod
@@ -404,7 +422,7 @@ class FormalSum:
     def __add__(self, other: "FormalSum") -> "FormalSum":
         if not isinstance(other, FormalSum):
             return NotImplemented
-        return FormalSum(self._terms + other._terms)
+        return FormalSum._from_sorted(_merge(self._terms + other._terms))
 
     def __rmul__(self, k: int) -> "FormalSum":
         if not isinstance(k, int):

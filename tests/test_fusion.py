@@ -1,4 +1,5 @@
 import hashlib
+import random
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
@@ -282,6 +283,27 @@ def test_full_fusion_table_is_pinned():
             h.update(repr((str(a), str(b), str(res.total), res.guard_extended,
                            str(res.projective_part), res.compact)).encode())
     assert h.hexdigest() == FUSION_TABLE_SHA256
+
+
+def assert_canonical(total: FormalSum) -> None:
+    assert FormalSum(total.terms) == total
+    keys = [m._key for m, _ in total.terms]
+    assert all(k1 < k2 for k1, k2 in zip(keys, keys[1:]))  # distinct and in order
+    assert all(type(k) is int and k > 0 for _, k in total.terms)
+
+
+def test_fusion_totals_are_canonical():
+    pool = pool_modules()
+    for a, b in combinations_with_replacement(pool, 2):
+        total = fuse_detailed(a, b).total
+        assert_canonical(total)
+        # a single product is the pair cache's own sum, not a copy
+        assert total is fusion._fuse_modules(a, b)[0]
+    rng = random.Random(18)
+    for _ in range(300):
+        a, b = (FormalSum([(rng.choice(pool), rng.randint(1, 3))
+                           for _ in range(rng.randint(1, 4))]) for _ in range(2))
+        assert_canonical(fuse_detailed(a, b).total)
 
 
 def test_pair_cache_is_bounded(monkeypatch):

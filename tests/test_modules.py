@@ -1,4 +1,5 @@
 import pickle
+import random
 from fractions import Fraction
 
 import pytest
@@ -203,6 +204,59 @@ def test_formal_sum_canonical_order_and_equality():
     b = FormalSum(((vac(0), 1), (proj(1), 2)))
     assert a == b
     assert hash(a) == hash(b)
+
+
+def old_merge(terms) -> tuple:
+    """The merge ``FormalSum`` used before it shared term tuples: one
+    ``[key, mod, mult]`` list per label, merged on the identity key and
+    sorted on the sort key.  A test-only oracle."""
+    combined = {}
+    for mod, mult in terms:
+        if mult == 0:
+            continue
+        entry = combined.get(mod._id)
+        if entry is None:
+            combined[mod._id] = [mod._key, mod, mult]
+        else:
+            entry[2] += mult
+    ordered = sorted(combined.values(), key=lambda entry: entry[0])
+    return tuple([(mod, mult) for _, mod, mult in ordered])
+
+
+# 2/5 < 1/2 by value but not by numerator, and 3/7 < 1/2 < 4/7 by value
+# while their numerators run 3, 1, 4; typ(-3/5) and typ(2/5) are equal labels
+# built by different routes
+MERGE_LABELS = (
+    [typ(c, l) for c in (Fraction(2, 5), Fraction(1, 2), Fraction(3, 7), Fraction(4, 7),
+                         Fraction(-3, 5)) for l in (-1, 0)]
+    + [vac(l) for l in (-1, 0, 1)] + [bstr(n, 0) for n in (2, 3)]
+    + [tstr(2, 0), tstr(2, 1), proj(0), proj(-1)])
+
+
+def test_merge_matches_the_old_merge_and_shares_single_terms():
+    rng = random.Random(18)
+    for _ in range(400):
+        terms = [(rng.choice(MERGE_LABELS), rng.randint(0, 3))
+                 for _ in range(rng.randint(0, 12))]
+        if terms and rng.random() < 0.3:
+            terms += rng.sample(terms, rng.randint(1, len(terms)))  # the same tuples again
+        got = FormalSum(terms)
+        want = old_merge(terms)
+        assert got.terms == want
+        # the label kept for a repeated term is the first one given
+        assert all(a is b for (a, _), (b, _) in zip(got.terms, want))
+        keys = [m._key for m, _ in got.terms]
+        assert keys == sorted(keys) and len(set(keys)) == len(keys)
+        counts = {}
+        for term in terms:
+            if term[1]:
+                counts[term[0]._id] = counts.get(term[0]._id, 0) + 1
+        for term in terms:
+            if term[1] and counts[term[0]._id] == 1:
+                assert any(out is term for out in got.terms)
+        assert (got + got).terms == old_merge(got.terms + got.terms)
+        other = FormalSum(terms[:3])
+        assert (got + other).terms == old_merge(got.terms + other.terms)
 
 
 def test_catalog_shapes():
