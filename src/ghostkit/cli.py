@@ -10,14 +10,13 @@ early (``ghostkit catalog | head``) ends the command quietly with code 1.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
-from dataclasses import asdict, replace
 
 # Each command imports the engines it runs (fusion, homalg, functors,
-# rigidity, verify), so one call loads only those.  ``characters`` stays
-# here with ``modules``: perfbench's traced probe wraps ``FormalSum`` and
+# rigidity, verify), so one call loads only those, and ``json`` is imported
+# only to print a ``--format json`` payload.  ``characters`` stays here with
+# ``modules``: perfbench's traced probe wraps ``FormalSum`` and
 # ``CharSeries`` right after ``import ghostkit.cli`` and needs both loaded.
 from . import characters, config
 from .grammar import parse_module_expr, parse_single_module
@@ -189,7 +188,7 @@ def _cmd_verify(args, cfg) -> tuple[dict, str]:
     results = verify.run_suites(names, cfg)
     payload = {
         "passed": all(c.passed for checks in results.values() for c in checks),
-        "suites": {name: [asdict(c) for c in checks] for name, checks in results.items()},
+        "suites": {name: [c._asdict() for c in checks] for name, checks in results.items()},
     }
     lines = []
     for name, checks in results.items():
@@ -301,10 +300,13 @@ def main(argv=None) -> int:
              if getattr(args, key, None) is not None}
     try:
         # flags override the file, and their text goes through the file's parsers
-        cfg = replace(cfg, **{key: config.PARSERS[key](text) for key, text in flags.items()})
+        cfg = cfg._replace(**{key: config.PARSERS[key](text) for key, text in flags.items()})
         payload, text = args.run(args, cfg)
-        print(json.dumps(payload, indent=2, sort_keys=True)
-              if args.format == "json" else text)
+        if args.format == "json":
+            import json
+
+            text = json.dumps(payload, indent=2, sort_keys=True)
+        print(text)
     except BrokenPipeError:
         # the reader is gone; send the rest of stdout, flushed at exit, nowhere
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

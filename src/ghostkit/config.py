@@ -8,8 +8,8 @@ Defaults < config file < command-line flags.  The config file is plain
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, replace
 from fractions import Fraction
+from typing import NamedTuple
 
 ENV_VAR = "GHOSTKIT_CONFIG"
 
@@ -17,8 +17,7 @@ _TRUE = {"1", "true", "yes", "on"}
 _FALSE = {"0", "false", "no", "off"}
 
 
-@dataclass(frozen=True)
-class Config:
+class Config(NamedTuple):
     hmax: Fraction = Fraction(8)
     jwindow: tuple[Fraction, Fraction] = (Fraction(-6), Fraction(6))
     catalog_bound: int = 8
@@ -90,7 +89,7 @@ def _apply(cfg: Config, key: str, value: str) -> Config:
     key = key.strip().lower()
     if key not in PARSERS:
         raise ValueError(f"unknown config key {key!r}")
-    return replace(cfg, **{key: PARSERS[key](value.strip())})
+    return cfg._replace(**{key: PARSERS[key](value.strip())})
 
 
 def load_file(path: str) -> Config:

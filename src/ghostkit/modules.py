@@ -39,10 +39,9 @@ simple composition factors, repeated by multiplicity) and ``rows()`` (the
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import attrgetter
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Iterator, NamedTuple, Union
 
 from .weights import coset, coset_str
 
@@ -479,8 +478,7 @@ def length(x) -> int:
     return sum(composition_factors(x).values())
 
 
-@dataclass(frozen=True)
-class LoewyWord:
+class LoewyWord(NamedTuple):
     """The row structure of an indecomposable.
 
     For simples and strings, ``entries`` lists ``(flow, row)`` along the
@@ -518,8 +516,7 @@ def head(x) -> FormalSum:
     return _row_factors(x, TOP)
 
 
-@dataclass(frozen=True)
-class ExactSequence:
+class ExactSequence(NamedTuple):
     """A non-split short exact sequence ``0 -> sub -> middle -> quotient -> 0``."""
 
     name: str

@@ -12,8 +12,8 @@ from __future__ import annotations
 import functools
 import itertools
 import random
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import characters, homalg, rigidity
 from .config import Config
@@ -26,8 +26,7 @@ from .modules import (
 from .weights import coset
 
 
-@dataclass
-class Check:
+class Check(NamedTuple):
     name: str
     passed: bool
     detail: str = ""

@@ -596,17 +596,21 @@ def test_rigidity_subnormal_is_refused(capsys, flags, what):
     assert f"ell={ell} with w1={w1}" in err and f"{what} underflows to a subnormal" in err
 
 
-def _loaded_submodules(code):
+def _loaded_modules(code):
+    """The names in ``sys.modules`` after running ``code`` in a fresh interpreter."""
     src = str(Path(ghostkit.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     script = ("import sys\n" + code + "\n"
-              "print(' '.join(sorted(name for name in sys.modules"
-              " if name.startswith('ghostkit.'))))\n")
+              "print(' '.join(sorted(sys.modules)))\n")
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
                           text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
     return set(proc.stdout.splitlines()[-1].split())
+
+
+def _loaded_submodules(code):
+    return {name for name in _loaded_modules(code) if name.startswith("ghostkit.")}
 
 
 def test_cli_import_loads_only_what_the_command_needs():
@@ -621,6 +625,20 @@ def test_cli_import_loads_only_what_the_command_needs():
                                 "ghostkit.cli.main(['fuse', 'W[1/3,0]', 'W[2/3,0]'])")
     assert "ghostkit.fusion" in loaded
     assert "ghostkit.verify" not in loaded
+
+
+def test_cli_calls_load_no_dataclasses_and_json_only_for_json_output():
+    calls = ("import ghostkit.cli\n"
+             "ghostkit.cli.main(['fuse', 'B[3,0]', 'B[3,0]'])\n"
+             "ghostkit.cli.main(['hom', 'B[3,0]', 'T[2,1]'])\n"
+             "ghostkit.cli.main(['ext', 'B[3,0]', 'T[2,1]'])\n"
+             "ghostkit.cli.main(['char', 'P[0]', '--hmax', '8', '--jwindow=-6:6',"
+             " '--format', 'csv'])")
+    heavy = {"dataclasses", "inspect", "json"}
+    assert not _loaded_modules(calls) & heavy
+    loaded = _loaded_modules(calls + "\nghostkit.cli.main(['fuse', 'B[3,0]', 'B[3,0]',"
+                                     " '--format', 'json'])")
+    assert loaded & heavy == {"json"}
 
 
 def test_suite_choices_are_the_verify_suites():

@@ -1,4 +1,5 @@
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -6,7 +7,9 @@ from pathlib import Path
 import pytest
 
 import ghostkit
-from ghostkit import characters, functors, fusion, grammar, homalg, modules, rigidity, weights
+from ghostkit import (
+    characters, config, functors, fusion, grammar, homalg, modules, rigidity, verify, weights,
+)
 
 # ``ghostkit.__all__`` as it was when the package imported every submodule
 PUBLIC = [
@@ -78,3 +81,63 @@ def test_submodules_load_only_the_standard_library():
     assert {f"ghostkit.{mod.__name__.split('.')[1]}" for mod in SUBMODULES} <= set(loaded)
     outside = {name.split(".")[0] for name in loaded} - {"ghostkit"}
     assert outside <= sys.stdlib_module_names, sorted(outside - sys.stdlib_module_names)
+
+
+# Each plain record of the package: a builder of one instance, another
+# instance that differs in one field, and the repr of the first.
+RECORDS = {
+    "Config": (
+        lambda: config.Config(catalog_bound=3), config.Config(),
+        "Config(hmax=Fraction(8, 1), jwindow=(Fraction(-6, 1), Fraction(6, 1)), "
+        "catalog_bound=3, strict_guards=False, pool_max_length=7, pool_max_flow=3, "
+        "pool_cosets=(Fraction(1, 3), Fraction(1, 2), Fraction(2, 3)))"),
+    "LoewyWord": (
+        lambda: modules.loewy(modules.proj(0)), modules.loewy(modules.vac(0)),
+        "LoewyWord(entries=((0, 'top'), (-1, 'middle'), (1, 'middle'), (0, 'bottom')), "
+        "diamond=True)"),
+    "ExactSequence": (
+        lambda: modules.sequence_catalog(1)[2], modules.sequence_catalog(1)[3],
+        "ExactSequence(name='staggered sub', sub=FormalSum(B[2,0]), middle=FormalSum(P[0]), "
+        "quotient=FormalSum(B[2,-1]), tag='stag-sub')"),
+    "FusionResult": (
+        lambda: fusion.fuse_detailed(modules.bstr(3, 0), modules.bstr(2, 0)),
+        fusion.fuse_detailed(modules.bstr(3, 0), modules.bstr(3, 0)),
+        "FusionResult(total=FormalSum(B[2,0] + P[2]), guard_extended=False, "
+        "sums=((ProjSum(m=1, n=1, k=1), 1),))"),
+    "Check": (
+        lambda: verify.Check("commutativity", True, "ordered pairs", 3),
+        verify.Check("commutativity", False, "ordered pairs", 3),
+        "Check(name='commutativity', passed=True, detail='ordered pairs', cases=3)"),
+    "ProjSum": (
+        lambda: fusion.ProjSum(1, 2, 0), fusion.ProjSum(2, 1, 0),
+        "ProjSum(m=1, n=2, k=0)"),
+    "GrothClass": (
+        lambda: fusion.groth_class(modules.bstr(2, 0)), fusion.unit_class(),
+        "GrothClass(terms=((Vac(ell=0), 1), (Vac(ell=1), 1)))"),
+}
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_records_compare_hash_print_and_pickle_by_fields(name):
+    build, other, text = RECORDS[name]
+    record, again = build(), build()
+    assert type(record).__name__ == name
+    assert record == again and hash(record) == hash(again)
+    assert record != other
+    assert repr(record) == text
+    assert pickle.loads(pickle.dumps(record)) == record
+    field = text[len(name) + 1:].split("=", 1)[0]  # the first field, as the repr names it
+    with pytest.raises(AttributeError):
+        setattr(record, field, getattr(other, field))
+    with pytest.raises(AttributeError):
+        record.extra = 1
+
+
+def test_record_checks_and_payload_keys():
+    with pytest.raises(ValueError, match="m, n >= 1"):
+        fusion.ProjSum(0, 2, 0)
+    payload = verify.Check("commutativity", True)._asdict()
+    assert list(payload) == ["name", "passed", "detail", "cases"]
+    # the ring operations of GrothClass take no integer factor
+    with pytest.raises(TypeError):
+        3 * fusion.unit_class()

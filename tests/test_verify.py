@@ -1,5 +1,4 @@
 import json
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -38,7 +37,7 @@ def test_run_suites_rejects_unknown():
 
 
 def test_all_suites_pass_on_small_pool():
-    cfg = replace(Config(), pool_max_length=3, pool_max_flow=1, catalog_bound=3)
+    cfg = Config(pool_max_length=3, pool_max_flow=1, catalog_bound=3)
     results = run_suites(list(SUITES), cfg)
     for name, checks in results.items():
         for check in checks:
@@ -46,7 +45,7 @@ def test_all_suites_pass_on_small_pool():
 
 
 def test_fusion_suite_reports_counts():
-    cfg = replace(Config(), pool_max_length=2, pool_max_flow=1)
+    cfg = Config(pool_max_length=2, pool_max_flow=1)
     checks = fusion_suite(cfg)
     by_name = {c.name: c for c in checks}
     assert "unordered triples" in by_name["associativity"].detail
@@ -83,7 +82,7 @@ def test_failed_check_names_its_count_and_first_case(monkeypatch):
     hom_dim = verify_mod.homalg.hom_dim
     monkeypatch.setattr(verify_mod.homalg, "hom_dim",
                         lambda a, b: hom_dim(a, b) + (a == b == proj(0)))
-    cfg = replace(Config(), pool_max_length=3, pool_max_flow=1, catalog_bound=3)
+    cfg = Config(pool_max_length=3, pool_max_flow=1, catalog_bound=3)
     lines = [check.line() for check in verify_mod.homalg_suite(cfg)]
     assert "FAIL hom table (144 cases; flow offsets -4..4; 1 failed, first at P[0], P[0])" \
         in lines
