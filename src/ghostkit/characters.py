@@ -67,7 +67,9 @@ def _split(x) -> tuple[Fraction, int]:
 
 
 def _per_bound(cols: dict[int, Fraction], f) -> dict:
-    # ``{a: f(bound)}``, one call per run of columns sharing one bound object
+    # ``{a: f(bound)}``, one call per run of columns sharing one bound object;
+    # one call per column instead read char-grid ops_per_s 932.4 -> 867.8
+    # (-6.9%) and op_p50_ms +9.4% (3 alternating pairs, seed 3)
     out, last = {}, None
     for a, bound in cols.items():
         if bound is not last:

@@ -38,49 +38,14 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .modules import (
-    _KEY, FormalSum, Module, Proj, TStr, Typ, Vac, _integral, _merge, _set, as_sum, bstr,
-    composition_factors, is_projective, is_simple, tstr,
+    _KEY, FormalSum, Module, Proj, _Record, TStr, Typ, Vac, _integral, _merge, _set, as_sum,
+    bstr, composition_factors, is_projective, is_simple, tstr,
 )
+from .weights import coset_add
 
 
 class GuardExtensionError(ValueError):
     """Raised in strict mode when a fusion product needs the guard extension."""
-
-
-class _Record:
-    """An immutable ``__slots__`` record whose slots are its constructor
-    arguments: ``==`` and ``hash`` by fields, a ``Name(field=value, ...)``
-    repr, and pickling through the constructor.
-
-    The labels of ``modules`` keep their own copy of these methods: with this
-    class as one more base of the labels, query-stream ran about 1% slower
-    (4/4 benchmark pairs)."""
-
-    __slots__ = ()
-
-    def _values(self) -> tuple:
-        return tuple([getattr(self, f) for f in self.__slots__])
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __hash__(self):
-        return hash(self._values())
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to {name!r}: {type(self).__name__} is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete {name!r}: {type(self).__name__} is immutable")
-
-    def __reduce__(self):
-        return type(self), self._values()
-
-    def __repr__(self):
-        args = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
-        return f"{type(self).__name__}({args})"
 
 
 class ProjSum(_Record):
@@ -91,8 +56,11 @@ class ProjSum(_Record):
     """
 
     __slots__ = ("m", "n", "k")
+    _fields = __slots__
 
     def __init__(self, m: int, n: int, k: int):
+        if m.__class__ is not int or n.__class__ is not int or k.__class__ is not int:
+            raise TypeError(f"S[m,n;k] parameters must be ints, got {m!r}, {n!r}, {k!r}")
         if m < 1 or n < 1:
             raise ValueError(f"S[m,n;k] requires m, n >= 1, got m={m}, n={n}")
         _set(self, "m", m)
@@ -187,7 +155,7 @@ def _fuse_base(a: Module, b: Module) -> tuple[FormalSum, bool, ProjSum | None]:
     if isinstance(a, Vac):
         return _with_sum(FormalSum.of(b))
     if isinstance(a, Typ) and isinstance(b, Typ):
-        c = (a.coset + b.coset) % 1
+        c = coset_add(a.coset, b.coset)
         if c == 0:
             return _with_sum(FormalSum.of(Proj(-1)))
         return _with_sum(FormalSum.of(Typ(c, 0)) + FormalSum.of(Typ(c, -1)))
@@ -268,6 +236,7 @@ class GrothClass(_Record):
     simple classes with multiplication induced by fusion."""
 
     __slots__ = ("terms",)
+    _fields = __slots__
 
     def __init__(self, terms: tuple[tuple[Module, int], ...]):
         _set(self, "terms", terms)
@@ -300,7 +269,7 @@ class GrothClass(_Record):
                 elif isinstance(s2, Vac):
                     simples = (s1.flowed(s2.ell),)
                 else:
-                    c, k = (s1.coset + s2.coset) % 1, s1.ell + s2.ell
+                    c, k = coset_add(s1.coset, s2.coset), s1.ell + s2.ell
                     simples = _standard(c, k) + _standard(c, k - 1)
                 for mod in simples:
                     d[mod] = d.get(mod, 0) + c1 * c2

@@ -14,11 +14,15 @@ one label: ``B[1,m]`` and ``T[1,m]`` are ``V[m]``, and the two length-2
 relaxed modules at the zero coset appear as ``B[2,-1]`` and ``T[2,-1]``.
 Label equality is module equality.
 
-Labels are immutable ``__slots__`` objects.  Each validates its fields and
-then stores, once, its sort key (family rank, then fields, with relaxed
-labels ordered by the value of their coset), an identity key made of ints
-only (the coset as numerator and denominator) and the hash of that key.
-Equality and hashing therefore run no ``Fraction`` arithmetic.
+Labels, like ``fusion.ProjSum`` and ``fusion.GrothClass``, are immutable
+``__slots__`` records on one base, ``_Record``, which gives the
+``Name(field=value, ...)`` repr, refusal to assign or delete attributes,
+pickling through the constructor, and field-wise ``==`` and ``hash``.
+Each label validates its fields and then stores, once, its sort key (family
+rank, then fields, with relaxed labels ordered by the value of their coset),
+an identity key made of ints only (the coset as numerator and denominator)
+and the hash of that key.  ``_Label`` overrides ``==`` and ``hash`` to read
+those stored keys, so equality and hashing run no ``Fraction`` arithmetic.
 
 Every sum is merged by one function, ``_merge``: terms are merged on the
 identity key and sorted on the stored sort key.  A term whose label occurs
@@ -52,38 +56,59 @@ MIDDLE = "middle"
 _set = object.__setattr__
 
 
-class _Label:
+class _Record:
+    """An immutable ``__slots__`` record whose ``_fields`` are its
+    constructor arguments: ``==`` and ``hash`` by fields, a
+    ``Name(field=value, ...)`` repr, refusal to assign or delete attributes,
+    and pickling through the constructor."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...]
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, f) for f in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: {type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r}: {type(self).__name__} is immutable")
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def __repr__(self):
+        args = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__name__}({args})"
+
+
+class _Label(_Record):
     """Behaviour shared by the five label classes: the sort key ``_key``,
     the all-int identity key ``_id`` led by the family rank, and its hash,
-    all stored by ``_freeze`` at the end of each constructor.  The defaults
-    below are those of a simple module."""
+    all stored by ``_freeze`` at the end of each constructor, with equality
+    and hashing on those stored keys.  The defaults below are those of a
+    simple module."""
 
     __slots__ = ("_key", "_id", "_hash")
-    _fields: tuple[str, ...]  # constructor arguments, for repr and pickling
 
     def _freeze(self, key: tuple, ident: tuple) -> None:
         _set(self, "_key", key)
         _set(self, "_id", ident)
         _set(self, "_hash", hash(ident))
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to {name!r}: labels are immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete {name!r}: labels are immutable")
-
     def __eq__(self, other):
         return self is other or (other.__class__ is self.__class__ and other._id == self._id)
 
     def __hash__(self):
         return self._hash
-
-    def __reduce__(self):
-        return type(self), tuple(getattr(self, f) for f in self._fields)
-
-    def __repr__(self):
-        args = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
-        return f"{type(self).__name__}({args})"
 
     def starred(self) -> "Module":
         return self
@@ -102,7 +127,7 @@ class Vac(_Label):
     _fields = __slots__
 
     def __init__(self, ell: int):
-        if not isinstance(ell, int):
+        if ell.__class__ is not int:
             raise TypeError(f"flow index must be an int, got {ell!r}")
         _set(self, "ell", ell)
         key = (0, ell)
@@ -133,7 +158,7 @@ class Typ(_Label):
             c = Fraction(c) % 1
             if c == 0:
                 raise ValueError("relaxed modules W require a nonzero ghost coset")
-        if not isinstance(ell, int):
+        if ell.__class__ is not int:
             raise TypeError(f"flow index must be an int, got {ell!r}")
         _set(self, "coset", c)
         _set(self, "ell", ell)
@@ -162,7 +187,7 @@ class _String(_Label):
     _swap: type["_String"]  # the other letter
 
     def __init__(self, n: int, m: int):
-        if not isinstance(n, int) or not isinstance(m, int):
+        if n.__class__ is not int or m.__class__ is not int:
             raise TypeError("string parameters must be ints")
         if n < 2:
             name = type(self).__name__
@@ -224,7 +249,7 @@ class Proj(_Label):
     _fields = __slots__
 
     def __init__(self, m: int):
-        if not isinstance(m, int):
+        if m.__class__ is not int:
             raise TypeError(f"flow index must be an int, got {m!r}")
         _set(self, "m", m)
         key = (4, m)

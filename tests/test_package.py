@@ -2,6 +2,7 @@ import os
 import pickle
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -131,6 +132,30 @@ def test_records_compare_hash_print_and_pickle_by_fields(name):
         setattr(record, field, getattr(other, field))
     with pytest.raises(AttributeError):
         record.extra = 1
+
+
+def test_records_refuse_deletion():
+    records = ((modules.vac(-2), "ell"), (modules.typ(Fraction(1, 3), 4), "coset"),
+               (modules.bstr(3, -1), "n"), (modules.tstr(2, 5), "n"), (modules.proj(0), "m"),
+               (fusion.ProjSum(1, 2, 0), "m"), (fusion.unit_class(), "terms"))
+    for record, field in records:
+        value = getattr(record, field)
+        with pytest.raises(AttributeError):
+            delattr(record, field)
+        assert getattr(record, field) == value
+
+
+def test_records_refuse_bool_and_non_integral_fields():
+    # True == 1, but V[True] is no module the grammar reads back, and
+    # S[1.5,2;0] cannot expand; the factories convert True to 1
+    for make in (lambda: modules.Vac(True), lambda: modules.Typ(Fraction(1, 3), False),
+                 lambda: modules.BStr(2, False), lambda: modules.TStr(True, 0),
+                 lambda: modules.Proj(True), lambda: fusion.ProjSum(True, 1, 0),
+                 lambda: fusion.ProjSum(1, 2, False), lambda: fusion.ProjSum(1.5, 2, 0)):
+        with pytest.raises(TypeError, match="must be (an int|ints)"):
+            make()
+    assert str(modules.vac(True)) == "V[1]" and str(modules.bstr(2, False)) == "B[2,0]"
+    assert fusion.expand_projsum(True, 1, False) == fusion.ProjSum(1, 1, 0).expand()
 
 
 def test_record_checks_and_payload_keys():
