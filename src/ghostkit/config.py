@@ -58,13 +58,13 @@ def parse_jwindow(text: str) -> tuple[Fraction, Fraction]:
     return lo, hi
 
 
-def _parse_bool(text: str) -> bool:
+def _parse_bool(text: str, what: str) -> bool:
     t = text.strip().lower()
     if t in _TRUE:
         return True
     if t in _FALSE:
         return False
-    raise ValueError(f"not a boolean: {text!r}")
+    raise ValueError(f"{what} is not a boolean: {text!r}")
 
 
 def _parse_cosets(text: str) -> tuple[Fraction, ...]:
@@ -78,7 +78,7 @@ PARSERS = {
     "hmax": lambda text: parse_fraction(text, "hmax"),
     "jwindow": parse_jwindow,
     "catalog_bound": lambda text: parse_integer(text, "catalog_bound"),
-    "strict_guards": _parse_bool,
+    "strict_guards": lambda text: _parse_bool(text, "strict_guards"),
     "pool_max_length": lambda text: parse_integer(text, "pool_max_length"),
     "pool_max_flow": lambda text: parse_integer(text, "pool_max_flow"),
     "pool_cosets": _parse_cosets,
@@ -102,7 +102,10 @@ def load_file(path: str) -> Config:
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value'")
             key, value = line.split("=", 1)
-            cfg = _apply(cfg, key, value)
+            try:
+                cfg = _apply(cfg, key, value)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
     return cfg
 
 

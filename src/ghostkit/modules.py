@@ -382,7 +382,7 @@ class FormalSum:
         checked: list[tuple[Module, int]] = []
         for term in terms:
             mod, mult = term
-            if not isinstance(mult, int):
+            if mult.__class__ is not int:
                 raise TypeError(f"multiplicity must be an int, got {mult!r}")
             if mult < 0:
                 raise ValueError(f"negative multiplicity {mult} for {mod}")

@@ -65,6 +65,16 @@ def test_label_constructors_refuse_non_int_fields():
         FormalSum([(vac(0), 1.5)])
 
 
+def test_formal_sum_refuses_bool_multiplicity():
+    # bool is an int subclass, refused here as the label constructors refuse it
+    for mult in (True, False):
+        with pytest.raises(TypeError, match=f"multiplicity must be an int, got {mult}"):
+            FormalSum([(vac(0), mult)])
+        with pytest.raises(TypeError, match="multiplicity must be an int"):
+            FormalSum.of(vac(0), mult)
+    assert FormalSum([(vac(0), 1)]).terms == ((vac(0), 1),)
+
+
 def test_typ_normalizes_coset():
     assert typ(Fraction(-1, 3), 0) == typ(Fraction(2, 3), 0)
     assert typ(Fraction(4, 3), 5).coset == Fraction(1, 3)
