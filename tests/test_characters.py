@@ -97,7 +97,7 @@ def full_width_suffix_table(max_weight):
     return tuple(zip(*counts))
 
 
-def test_half_width_table_matches_the_full_width_knapsack():
+def test_closed_form_table_matches_the_full_width_knapsack_oracle():
     # 67 is the deepest table the char-grid benchmark builds; at 200 the
     # closed form's terms reach charges and weights in the hundreds
     for top in [*range(41), 67, 200]:

@@ -376,6 +376,17 @@ def test_char_with_a_non_decimal_digit(capsys):
     assert err == "error: expected an integer (at position 2)\n"
 
 
+def test_fuse_with_an_overlong_multiplicity(capsys):
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("int reads decimal strings of any length here")
+    code, out, err = run(capsys, "fuse", " " + "1" * (limit + 700) + "*V[0]", "V[0]")
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: Exceeds the limit ({limit} digits)")
+    assert err.endswith(" (at position 1)\n")
+
+
 @pytest.mark.parametrize("text", ["V[0] +", ""])
 def test_fuse_with_a_missing_atom_points_at_the_end(capsys, text):
     code, out, err = run(capsys, "fuse", text, "V[1]")
