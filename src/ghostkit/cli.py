@@ -31,8 +31,8 @@ def _sum_json(s: FormalSum):
     return [{"module": str(m), "mult": k} for m, k in s]
 
 
-def _render_chain(word) -> str:
-    labels = [f"V[{f}]" for f, _ in word]
+def _render_chain(word, factors) -> str:
+    labels = [str(s) for s in factors]
     width = max(len(lab) for lab in labels) + 4
     top = [" " * width] * len(word)
     bot = [" " * width] * len(word)
@@ -117,7 +117,7 @@ def _cmd_loewy(args, cfg) -> tuple[dict, str]:
         "diamond": word.diamond,
         "entries": [{"flow": f, "row": r} for f, r in word.entries],
     }
-    text = _render_diamond(mod.m) if word.diamond else _render_chain(word.entries)
+    text = _render_diamond(mod.m) if word.diamond else _render_chain(word.entries, mod.factors())
     return payload, text
 
 

@@ -8,14 +8,16 @@ bilinearly to sums.  Hom is computed structurally:
   projective, ``W`` itself or ``V[m]`` for ``P[m]``, is also its socle; Hom
   out of or into a projective is that simple's composition multiplicity in
   the other side;
-* for modules in the vacuum sector (simples and strings) Hom counts pairs
-  of matching labeled segments, one occurring as a quotient of the source
-  and one as a submodule of the target.
+* for modules in the vacuum sector (simples and strings) Hom counts images,
+  segments that are quotients of the source and submodules of the target.
 
-A segment of a string is a consecutive run of factors.  It is a quotient
-occurrence when no arrow of the complement enters it (its bottom endpoints
-must be endpoints of the whole string) and a submodule occurrence when no
-arrow leaves it (its top endpoints must be endpoints of the whole string).
+A segment of a string is a consecutive run of factors: a quotient when its
+bottom-row ends are ends of the string, a submodule when its top-row ends
+are.  A string's rows alternate, so the parity of its top-row flows fixes
+them; a simple's one factor is both top and bottom.  On the overlap
+``[lo, hi]`` of the two spans, the images of one factor are the top factors
+of the source that are bottom factors of the target; a longer image needs
+two strings with the same rows and is then all of ``[lo, hi]``.
 
 First Ext groups come from the terminating Hom-Ext sequence of a minimal
 projective presentation ``0 -> K -> P0 -> M -> 0`` with ``P0`` both
@@ -35,8 +37,8 @@ composition factor common to ``M`` and ``N``, and ``Ext^1(M, N)`` a factor
 of ``M`` and one of ``N`` at flows at most 1 apart.  The factor span of a
 label is ``(l, l)`` for ``V[l]`` and ``W[c,l]``, ``(m, m+n-1)`` for
 ``B[n,m]`` and ``T[n,m]`` and ``(m-1, m+1)`` for ``P[m]``; when the spans of
-two labels are more than 1 apart, both Hom and Ext are 0 before any segment
-is listed.
+two labels are more than 1 apart, both Hom and Ext are 0 before any other
+rule is applied.
 
 The presentation kernels and cokernels are pinned by exactness: the
 composition factors of the cover must equal those of the module plus those
@@ -48,27 +50,10 @@ verification pool).
 
 from __future__ import annotations
 
-from collections import Counter
-
 from .modules import (
-    BOTTOM, TOP, BStr, ExactSequence, FormalSum, Module, Proj, TStr, Typ, Vac,
-    as_sum, bstr, head, is_projective, socle,
+    BStr, ExactSequence, FormalSum, Module, Proj, TStr, Typ, Vac, as_sum, bstr,
+    head, is_projective, socle,
 )
-
-
-def _segments(word, closed: str):
-    """Labels ``(start flow, length, first row)`` of the segments of ``word``
-    whose endpoints in row ``closed`` are endpoints of the whole string:
-    quotients for ``BOTTOM``, submodules for ``TOP``.  A single factor has no
-    row in its label."""
-    last = len(word) - 1
-    for i, (flow, row) in enumerate(word):
-        if row == closed and i > 0:
-            continue
-        for j in range(i, last + 1):
-            if word[j][1] == closed and j < last:
-                continue
-            yield flow, j - i + 1, row if j > i else None
 
 
 def _span(mod: Module) -> tuple[int, int]:
@@ -83,9 +68,18 @@ def _span(mod: Module) -> tuple[int, int]:
 def _apart(m: Module, n: Module) -> bool:
     """Whether the factor spans of ``m`` and ``n`` are more than 1 apart, so
     that both Hom and Ext between them vanish."""
-    lo_m, hi_m = _span(m)
-    lo_n, hi_n = _span(n)
+    (lo_m, hi_m), (lo_n, hi_n) = _span(m), _span(n)
     return lo_n > hi_m + 1 or lo_m > hi_n + 1
+
+
+def _tops(mod: Module) -> tuple[int, ...]:
+    # the parities of the top-row flows: one for a string, both for a simple
+    return (0, 1) if isinstance(mod, Vac) else ((mod.m + isinstance(mod, BStr)) % 2,)
+
+
+def _count(lo: int, hi: int, parities) -> int:
+    # the number of flows in [lo, hi] with one of the given parities
+    return sum(max(0, (hi - p) // 2 - (lo - 1 - p) // 2) for p in parities)
 
 
 def _simple_top(p: Module) -> Module:
@@ -102,9 +96,17 @@ def _hom_modules(m: Module, n: Module) -> int:
         return n.factors().count(_simple_top(m))
     if is_projective(n):
         return m.factors().count(_simple_top(n))
-    # Both sides now live in the vacuum sector (simple or string).
-    subs = Counter(_segments(n.rows(), TOP))
-    return sum(subs[lab] for lab in _segments(m.rows(), BOTTOM))
+    # Both sides are simples or strings: count the images on the overlap
+    # [lo, hi] of the spans (see the module docstring).
+    (lo_m, hi_m), (lo_n, hi_n) = _span(m), _span(n)
+    lo, hi = max(lo_m, lo_n), min(hi_m, hi_n)
+    tops, tops_n = _tops(m), _tops(n)
+    hom = _count(lo, hi, [p for p in tops if 1 - p in tops_n])
+    if lo < hi and tops == tops_n:
+        # each bottom-row end must be an end of m, each top-row end one of n
+        hom += (lo == (lo_n if lo % 2 in tops else lo_m)
+                and hi == (hi_n if hi % 2 in tops else hi_m))
+    return hom
 
 
 def _bilinear(one, m, n) -> int:
@@ -145,7 +147,7 @@ def presentation_kernel(mod: Module) -> Module:
     """Kernel of the projective cover map ``P0 ->> mod``."""
     if is_projective(mod):
         raise ValueError(f"{mod} is projective; its presentation is trivial")
-    n = len(mod.factors())
+    n = 1 if isinstance(mod, Vac) else mod.n
     if isinstance(mod, BStr):
         if n % 2:
             return bstr(n - 2, mod.m + 1)
@@ -169,10 +171,8 @@ def presentation_cokernel(mod: Module) -> Module:
 def _cover_hom(m: Module, n: Module) -> int:
     """``hom(P0, n)`` for the projective cover ``P0`` of ``m``, both ``m``
     and ``n`` simple or strings: the head factors of ``m`` in ``n``'s span."""
-    lo, hi = _span(n)
-    if isinstance(m, Vac):
-        return int(lo <= m.ell <= hi)
-    return sum(1 for flow, row in m.rows() if row == TOP and lo <= flow <= hi)
+    (lo_m, hi_m), (lo_n, hi_n) = _span(m), _span(n)
+    return _count(max(lo_m, lo_n), min(hi_m, hi_n), _tops(m))
 
 
 def _ext_modules(m: Module, n: Module) -> int:

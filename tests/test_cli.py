@@ -125,6 +125,13 @@ def test_loewy_text_and_json(capsys):
     assert out.splitlines()[0].strip() == "V[0]"
 
 
+def test_loewy_draws_a_simple_by_its_own_label(capsys):
+    code, out, _ = run(capsys, "loewy", "W[1/2,3]")
+    assert code == 0
+    assert "W[1/2,3]" in out and "V[" not in out
+    assert run(capsys, "loewy", "V[3]") == (0, "  V[3]\n", "")
+
+
 def test_dual_variants(capsys):
     code, out, _ = run(capsys, "dual", "B[4,1]")
     assert code == 0 and out.strip() == "T[4,1]"

@@ -1,4 +1,5 @@
 import hashlib
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -10,8 +11,8 @@ from ghostkit.homalg import (
     presentation_kernel, projective_cover,
 )
 from ghostkit.modules import (
-    FormalSum, bstr, composition_factors, head, is_projective, proj,
-    sequence_catalog, socle, tstr, typ, vac,
+    BOTTOM, TOP, FormalSum, Vac, bstr, composition_factors, head, is_projective,
+    proj, sequence_catalog, socle, tstr, typ, vac,
 )
 from ghostkit.verify import ext_table_expected, hom_table_expected, pool_modules
 
@@ -43,6 +44,63 @@ def test_hom_and_ext_tables_all_offsets():
                 want_ext = ext_table_expected(row, col)
                 if want_ext is not None:
                     assert ext_dim(row, col) == want_ext, (row, col)
+
+
+def segment_labels(word, closed: str):
+    """Labels ``(start flow, length, first row)`` of the segments of ``word``
+    whose endpoints in row ``closed`` are endpoints of the whole string:
+    quotients for ``BOTTOM``, submodules for ``TOP``.  A single factor has no
+    row in its label."""
+    last = len(word) - 1
+    for i, (flow, row) in enumerate(word):
+        if row == closed and i > 0:
+            continue
+        for j in range(i, last + 1):
+            if word[j][1] == closed and j < last:
+                continue
+            yield flow, j - i + 1, row if j > i else None
+
+
+def segment_hom(m, n) -> int:
+    """Hom between two simples or strings by listing every quotient segment
+    of ``m`` and every submodule segment of ``n`` and counting the matching
+    pairs: the test oracle of ``homalg``'s span-and-parity count."""
+    subs = Counter(segment_labels(n.rows(), TOP))
+    return sum(subs[lab] for lab in segment_labels(m.rows(), BOTTOM))
+
+
+def rows_cover_hom(m, n) -> int:
+    # hom(P0, n) for the cover P0 of m: the head factors of m, read from
+    # its rows, in n's span
+    lo, hi = homalg._span(n)
+    if isinstance(m, Vac):
+        return int(lo <= m.ell <= hi)
+    return sum(1 for flow, row in m.rows() if row == TOP and lo <= flow <= hi)
+
+
+# every simple and string of length at most 10 with base flow in -7..7
+VACUUM_POOL = list(dict.fromkeys(
+    mk(n, f) for f in range(-7, 8) for n in range(1, 11) for mk in (bstr, tstr)))
+
+
+def test_hom_and_ext_agree_with_segment_listing():
+    assert len(VACUUM_POOL) == 285
+    for m in VACUUM_POOL:
+        k = presentation_kernel(m)
+        for n in VACUUM_POOL:
+            hom = segment_hom(m, n)
+            assert hom_dim(m, n) == hom, (m, n)
+            ext = segment_hom(k, n) - rows_cover_hom(m, n) + hom
+            assert ext_dim(m, n) == ext, (m, n)
+
+
+def test_hom_between_long_strings():
+    # one-factor images only (opposite rows), and one longer image (same rows)
+    assert hom_dim(bstr(1000, 0), bstr(999, 1)) == 500
+    assert hom_dim(bstr(1000, 0), bstr(1000, -2)) == 1
+    assert hom_dim(tstr(1000, 0), tstr(1000, -2)) == 0
+    for m, n in ((bstr(1000, 0), bstr(1000, -2)), (tstr(1000, 0), tstr(1000, -2))):
+        assert hom_dim(m, n) == segment_hom(m, n), (m, n)
 
 
 def test_string_endomorphisms_are_scalars():
@@ -181,8 +239,8 @@ def test_hom_ext_duality_and_flow_symmetry():
 
 
 def test_support_rule_changes_no_answer(monkeypatch):
-    # with the support test switched off only the segment and multiplicity
-    # route is left; it must give the shipped answer on every ordered pair
+    # with the support test switched off only the span-and-parity count and
+    # the multiplicity route are left; it must give the shipped answer on every ordered pair
     pool = pool_modules(max_length=6, max_flow=4, cosets=(THIRD, Fraction(2, 3)))
     pairs = [(a, b) for a in pool for b in pool]
     assert len(pairs) == 126 ** 2
