@@ -5,9 +5,13 @@ Hom and Ext dimensions are computed on pairs of labels and lifted
 bilinearly to sums.  Hom is computed structurally:
 
 * projective and injective objects coincide here, and the simple head of a
-  projective, ``W`` itself or ``V[m]`` for ``P[m]``, is also its socle; Hom
-  out of or into a projective is that simple's composition multiplicity in
-  the other side;
+  projective, ``W`` itself or ``V[k]`` for ``P[k]``, is also its socle, so
+  Hom out of or into a projective is that simple's multiplicity in the
+  other side: equality when either side is a ``W``, ``max(0, 2 - |k - l|)``
+  against ``P[l]``, and ``lo <= k <= hi`` against a simple or string of
+  span ``[lo, hi]``, which has each flow of its span once.  The cover or
+  hull of a simple is its projective (``W`` or ``P[l]`` over ``V[l]``), so
+  covers and hulls are that map on heads and socles;
 * for modules in the vacuum sector (simples and strings) Hom counts images,
   segments that are quotients of the source and submodules of the target.
 
@@ -82,20 +86,19 @@ def _count(lo: int, hi: int, parities) -> int:
     return sum(max(0, (hi - p) // 2 - (lo - 1 - p) // 2) for p in parities)
 
 
-def _simple_top(p: Module) -> Module:
-    # the simple head, and socle, of a projective
-    return p if isinstance(p, Typ) else Vac(p.m)
-
-
 def _hom_modules(m: Module, n: Module) -> int:
     if _apart(m, n):
         return 0
-    # a projective source sees the factors of n equal to its head, and a
-    # projective (so injective) target the factors of m equal to its socle
-    if is_projective(m):
-        return n.factors().count(_simple_top(m))
-    if is_projective(n):
-        return m.factors().count(_simple_top(n))
+    if is_projective(m) or is_projective(n):
+        # the multiplicity of p's simple head, which is also its socle, in
+        # the other side (see the module docstring)
+        p, other = (m, n) if is_projective(m) else (n, m)
+        if isinstance(p, Typ) or isinstance(other, Typ):
+            return int(p == other)
+        if isinstance(other, Proj):
+            return max(0, 2 - abs(p.m - other.m))
+        lo, hi = _span(other)
+        return int(lo <= p.m <= hi)
     # Both sides are simples or strings: count the images on the overlap
     # [lo, hi] of the spans (see the module docstring).
     (lo_m, hi_m), (lo_n, hi_n) = _span(m), _span(n)
@@ -123,24 +126,19 @@ def hom_dim(m, n) -> int:
     return _bilinear(_hom_modules, m, n)
 
 
-def _staggered_over(x, simples) -> FormalSum:
-    # each non-projective summand -> the P[l] over its simples(mod) V[l]
-    def one(mod: Module) -> FormalSum:
-        if is_projective(mod):
-            return FormalSum.of(mod)
-        return simples(mod).map_modules(lambda s: Proj(s.ell))
-
-    return as_sum(x).map_modules(one)
+def _cover(simple: Module) -> Module:
+    # the projective cover, and injective hull, of a simple
+    return simple if isinstance(simple, Typ) else Proj(simple.ell)
 
 
 def projective_cover(x) -> FormalSum:
     """Minimal projective mapping onto ``x``: the cover of its head."""
-    return _staggered_over(x, head)
+    return head(x).map_modules(_cover)
 
 
 def injective_hull(x) -> FormalSum:
     """Minimal injective containing ``x``: the hull of its socle."""
-    return _staggered_over(x, socle)
+    return socle(x).map_modules(_cover)
 
 
 def presentation_kernel(mod: Module) -> Module:

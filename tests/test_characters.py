@@ -580,6 +580,7 @@ def test_sector_form_round_trips_and_composes():
         (0, 0), (THIRD, 0), (THIRD, THIRD)}
     assert all(type(j) is Fraction and type(h) is Fraction for j, h, _ in ch.entries())
     assert CharSeries(ch.col_hmax, ch.coeffs) == ch
+    assert eval(repr(ch), {"CharSeries": CharSeries, "Fraction": Fraction}) == ch
     for a, b in ((1, 2), (-3, 1), (2, -2)):
         assert char_flow(char_flow(ch, a), b) == char_flow(ch, a + b), (a, b)
     assert char_dual(char_dual(ch)) == ch

@@ -11,7 +11,7 @@ import jsonschema
 import pytest
 
 import ghostkit
-from ghostkit import characters, fusion, grammar, modules, rigidity, verify
+from ghostkit import characters, cli, fusion, grammar, modules, rigidity, verify
 from ghostkit.cli import build_parser, main
 
 
@@ -417,6 +417,36 @@ def test_fuse_json_compact_above_limit(capsys, monkeypatch):
     assert code == 1
     assert out == ""
     assert f"10000000 entries, above the limit {fusion.MAX_COMPACT_ENTRIES}" in err
+
+
+def test_fuse_above_the_product_term_limit_is_refused_before_any_product(capsys, monkeypatch):
+    def no_product(*args):
+        raise AssertionError("a pair product was built")
+
+    monkeypatch.setattr(fusion, "_fuse_modules", no_product)
+    left = " + ".join(f"B[1000,{k}]" for k in range(60))
+    right = " + ".join(f"T[999,{k}]" for k in range(60))
+    code, out, err = run(capsys, "fuse", left, right)
+    assert code == 1
+    assert out == ""
+    assert err == ("error: the pair products of 60 by 60 terms may have 7196400 terms, "
+                   f"above the limit {cli.MAX_FUSE_TERMS}; fuse smaller sums\n")
+
+
+def test_fuse_product_term_bound():
+    # the bound holds for every pair product, and the longest pair of
+    # strings is far inside the limit
+    pool = verify.pool_modules() + [modules.bstr(1000, 0), modules.tstr(999, 3),
+                                    modules.bstr(998, -1)]
+    for x in pool:
+        for y in pool:
+            bound = cli._product_terms(modules.FormalSum.of(x), modules.FormalSum.of(y))
+            assert len(fusion.fuse(x, y)) <= bound, (x, y)
+    longest = grammar.parse_module_expr("B[1000,0]")
+    assert cli._product_terms(longest, longest) == 2000
+    twenty = [grammar.parse_module_expr(" + ".join(f"{s}[{n},{k}]" for k in range(20)))
+              for s, n in (("B", 1000), ("T", 999))]
+    assert cli._product_terms(*twenty) == 799_600 <= cli.MAX_FUSE_TERMS
 
 
 @pytest.mark.parametrize("command", ["hom", "ext", "fuse"])

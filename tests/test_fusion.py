@@ -31,6 +31,8 @@ def s_expected(m, n, k):
 
 def test_expand_projsum_examples():
     assert expand_projsum(1, 1, 1) == FormalSum.of(proj(2))
+    # a record equals only a record of its own type
+    assert fusion.ProjSum(1, 1, 0) != (1, 1, 0)
     assert expand_projsum(2, 2, 0) == FormalSum(
         ((proj(1), 1), (proj(3), 2), (proj(5), 1)))
     with pytest.raises(ValueError):
@@ -205,6 +207,10 @@ def test_groth_class_examples():
     a, b = bstr(3, 0), proj(2)
     assert groth_class(FormalSum.of(a) + FormalSum.of(b)) == \
         groth_class(a) + groth_class(b)
+    assert str(groth_class(proj(0))) == "[V[-1]] + 2*[V[0]] + [V[1]]"
+    assert str(groth_class(FormalSum())) == "0"
+    with pytest.raises(ValueError, match="Grothendieck classes live on simples, got B"):
+        fusion.GrothClass.from_dict({bstr(2, 0): 1})
 
 
 def test_groth_product_examples():

@@ -11,7 +11,7 @@ from ghostkit.homalg import (
     presentation_kernel, projective_cover,
 )
 from ghostkit.modules import (
-    BOTTOM, TOP, FormalSum, Vac, bstr, composition_factors, head, is_projective,
+    BOTTOM, TOP, FormalSum, Typ, Vac, bstr, composition_factors, head, is_projective,
     proj, sequence_catalog, socle, tstr, typ, vac,
 )
 from ghostkit.verify import ext_table_expected, hom_table_expected, pool_modules
@@ -101,6 +101,47 @@ def test_hom_between_long_strings():
     assert hom_dim(tstr(1000, 0), tstr(1000, -2)) == 0
     for m, n in ((bstr(1000, 0), bstr(1000, -2)), (tstr(1000, 0), tstr(1000, -2))):
         assert hom_dim(m, n) == segment_hom(m, n), (m, n)
+
+
+def factor_count_hom(m, n) -> int:
+    """Hom with a projective by counting, in the other side's factor list,
+    the projective's simple head (also its socle): the test oracle of
+    ``homalg``'s span rule for projectives."""
+    p, other = (m, n) if is_projective(m) else (n, m)
+    top = p if isinstance(p, Typ) else vac(p.m)
+    return other.factors().count(top)
+
+
+def test_hom_with_a_projective_agrees_with_factor_counts():
+    projectives = [proj(f) for f in range(-7, 8)] + [
+        typ(c, f) for c in (THIRD, Fraction(1, 2), Fraction(2, 3)) for f in range(-7, 8)]
+    labels = VACUUM_POOL + projectives
+    for p in projectives:
+        for other in labels:
+            assert hom_dim(p, other) == factor_count_hom(p, other), (p, other)
+            assert hom_dim(other, p) == factor_count_hom(other, p), (other, p)
+    for other in (bstr(1000, 0), tstr(1000, 0), bstr(1000, -996), tstr(999, 6)):
+        for m, n in ((proj(5), other), (other, proj(5))):
+            assert hom_dim(m, n) == factor_count_hom(m, n), (m, n)
+    assert hom_dim(proj(5), bstr(1000, 0)) == hom_dim(bstr(1000, 0), proj(5)) == 1
+
+
+def test_covers_and_hulls_of_sums_are_per_summand():
+    import random
+    rng = random.Random(5)
+    labels = POOL + [bstr(1000, 0), tstr(999, -3)]
+    for _ in range(200):
+        terms = [(rng.choice(labels), rng.randint(1, 3)) for _ in range(rng.randint(1, 6))]
+        terms += terms[:rng.randint(0, 2)]  # repeated summands
+        x = FormalSum(terms)
+        for op, simples in ((projective_cover, head), (injective_hull, socle)):
+            want = FormalSum()
+            for mod, k in x:
+                if is_projective(mod):
+                    want += k * FormalSum.of(mod)
+                else:
+                    want += k * FormalSum((proj(s.ell), j) for s, j in simples(mod))
+            assert op(x) == want, (op.__name__, x)
 
 
 def test_string_endomorphisms_are_scalars():

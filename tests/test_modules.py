@@ -201,6 +201,7 @@ def test_projectivity_flags():
 def test_formal_sum_arithmetic():
     s = FormalSum.of(vac(0)) + 2 * FormalSum.of(proj(1))
     assert s.multiplicity(proj(1)) == 2
+    assert s.multiplicity(vac(1)) == 0
     assert s.total() == 3
     assert str(s) == "V[0] + 2*P[1]"
     assert FormalSum() + s == s
