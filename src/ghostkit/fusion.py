@@ -4,7 +4,8 @@ Fusion is computed on canonical labels.  The algorithm:
 
 1. the vacuum flows are invertible units: ``V[l] x M = flow(M, l)``;
 2. flow reduction: both factors are reduced to base flow 0 and the total
-   flow is re-applied to the result;
+   flow is re-applied to the result (spectral flow is monoidal,
+   ``flow(A, k) x flow(B, l) = flow(A x B, k + l)``);
 3. relaxed simples fuse additively in the coset, with a staggered module
    appearing exactly when the cosets cancel;
 4. projectives form a tensor ideal: a projective ``X`` (``W`` or ``P``)
@@ -25,12 +26,17 @@ raise :class:`GuardExtensionError` instead.  Every guard-extended product is
 still required (and tested) to satisfy the Grothendieck ring homomorphism.
 
 Products of label pairs, the base-flow pairs among them, are kept in one
-cache, emptied at ``PAIR_CACHE_LIMIT`` entries.  :func:`fuse_detailed` adds
-the pair products of two sums with the one merge of ``modules``, which keeps
-each unmerged term tuple of a cached product rather than copying it; the
-product of two single terms of multiplicity one is the cached sum itself.
-The projective part and the compact ``S[m,n;k]`` display of a
-:class:`FusionResult` are derived on demand.
+cache keyed by the pair's identity keys.  The flow is the last entry of
+every identity key, so a flowed pair that misses finds its base product
+under its own key with both flows set to 0, and builds the two base-flow
+labels only when that product is not cached either.  The cache is bounded
+by what it holds, one for each product and one for each of its terms, and
+is emptied before a store would take that count above ``PAIR_CACHE_LIMIT``.
+:func:`fuse_detailed` adds the pair products of two sums with the one merge
+of ``modules``, which keeps each unmerged term tuple of a cached product
+rather than copying it; the product of two single terms of multiplicity
+one is the cached sum itself.  The projective part and the compact
+``S[m,n;k]`` display of a :class:`FusionResult` are derived on demand.
 """
 
 from __future__ import annotations
@@ -38,7 +44,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .modules import (
-    _KEY, FormalSum, Module, Proj, _Record, TStr, Typ, Vac, _integral, _merge, _set, as_sum,
+    _KEY, FormalSum, Module, Proj, _Record, TStr, Typ, Vac, _integral, _merge, as_sum,
     bstr, composition_factors, is_projective, is_simple, tstr,
 )
 from .weights import coset_add
@@ -63,9 +69,9 @@ class ProjSum(_Record):
             raise TypeError(f"S[m,n;k] parameters must be ints, got {m!r}, {n!r}, {k!r}")
         if m < 1 or n < 1:
             raise ValueError(f"S[m,n;k] requires m, n >= 1, got m={m}, n={n}")
-        _set(self, "m", m)
-        _set(self, "n", n)
-        _set(self, "k", k)
+        _set_sum_m(self, m)
+        _set_sum_n(self, n)
+        _set_sum_k(self, k)
 
     def expand(self) -> FormalSum:
         m, n, k = self.m, self.n, self.k
@@ -74,6 +80,9 @@ class ProjSum(_Record):
 
     def __str__(self):
         return f"S[{self.m},{self.n};{self.k}]"
+
+
+_set_sum_m, _set_sum_n, _set_sum_k = ProjSum.m.__set__, ProjSum.n.__set__, ProjSum.k.__set__
 
 
 def expand_projsum(m: int, n: int, k: int) -> FormalSum:
@@ -170,14 +179,21 @@ def _fuse_base(a: Module, b: Module) -> tuple[FormalSum, bool, ProjSum | None]:
 # Products of label pairs, flowed and at base flow 0.  Without the flowed
 # pairs the fusion suite takes about twice as long and over twice the peak
 # memory; without the base pairs 1.0-1.2 times as long (Python 3.11, shared
-# 2-core VM).  The cache is emptied at this many entries.
-PAIR_CACHE_LIMIT = 1 << 16
+# 2-core VM).  The cache is bounded by what it holds: each stored product
+# counts ``1 + len(total.terms)``, and the cache is emptied before a store
+# would take the count above this limit.  One product of two length-1000
+# strings holds about 1,000 labels (about 243 KiB), so the limit bounds the
+# cache at about 130 MB; the fusion suite ends at 40,582 products holding
+# 226,919, and no benchmark workload comes near it.
+PAIR_CACHE_LIMIT = 1 << 19
 _PAIR_CACHE: dict[tuple, tuple[FormalSum, bool, ProjSum | None]] = {}
+_PAIR_HELD = 0  # the count of what _PAIR_CACHE holds, as above
 
 
 def _fuse_modules(a: Module, b: Module) -> tuple[FormalSum, bool, ProjSum | None]:
+    global _PAIR_HELD
     # keyed by identity keys (hashed and compared in C), which the family
-    # rank leads
+    # rank leads and the flow ends
     ia, ib = a._id, b._id
     if ia > ib:
         a, b, ia, ib = b, a, ib, ia
@@ -185,9 +201,14 @@ def _fuse_modules(a: Module, b: Module) -> tuple[FormalSum, bool, ProjSum | None
     hit = _PAIR_CACHE.get(key)
     if hit is not None:
         return hit
-    fa, fb = a.flow, b.flow
+    fa, fb = ia[-1], ib[-1]
     if fa or fb:
-        total, guard, s = _fuse_modules(a.flowed(-fa), b.flowed(-fb))
+        # The base pair's key is this key with both flows set to 0, still in
+        # order; its labels are built only when it is not cached.
+        base = _PAIR_CACHE.get((ia[:-1] + (0,), ib[:-1] + (0,)))
+        if base is None:
+            base = _fuse_modules(a.flowed(-fa), b.flowed(-fb))
+        total, guard, s = base
         shift = fa + fb
         if shift:
             total = total.flowed(shift)
@@ -195,9 +216,12 @@ def _fuse_modules(a: Module, b: Module) -> tuple[FormalSum, bool, ProjSum | None
         out = (total, guard, s)
     else:
         out = _fuse_base(a, b)
-    if len(_PAIR_CACHE) >= PAIR_CACHE_LIMIT:
+    held = 1 + len(out[0].terms)
+    if _PAIR_HELD + held > PAIR_CACHE_LIMIT:
         _PAIR_CACHE.clear()
+        _PAIR_HELD = 0
     _PAIR_CACHE[key] = out
+    _PAIR_HELD += held
     return out
 
 
@@ -239,7 +263,7 @@ class GrothClass(_Record):
     _fields = __slots__
 
     def __init__(self, terms: tuple[tuple[Module, int], ...]):
-        _set(self, "terms", terms)
+        _set_groth_terms(self, terms)
 
     @classmethod
     def from_dict(cls, d: dict[Module, int]) -> "GrothClass":
@@ -279,6 +303,9 @@ class GrothClass(_Record):
         if not self.terms:
             return "0"
         return " + ".join(f"[{m}]" if c == 1 else f"{c}*[{m}]" for m, c in self.terms)
+
+
+_set_groth_terms = GrothClass.terms.__set__
 
 
 def _standard(c, ell: int) -> tuple[Module, ...]:

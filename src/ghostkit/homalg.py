@@ -10,8 +10,11 @@ bilinearly to sums.  Hom is computed structurally:
   other side: equality when either side is a ``W``, ``max(0, 2 - |k - l|)``
   against ``P[l]``, and ``lo <= k <= hi`` against a simple or string of
   span ``[lo, hi]``, which has each flow of its span once.  The cover or
-  hull of a simple is its projective (``W`` or ``P[l]`` over ``V[l]``), so
-  covers and hulls are that map on heads and socles;
+  hull of a simple is its projective (``W`` or ``P[l]`` over ``V[l]``), and
+  a projective is its own, so a cover has one ``P[l]`` per head factor
+  ``V[l]`` of each simple or string summand, and a hull one per socle
+  factor; both are read from the summand's span and top-row parity (see
+  below), building no simples;
 * for modules in the vacuum sector (simples and strings) Hom counts images,
   segments that are quotients of the source and submodules of the target.
 
@@ -55,8 +58,8 @@ verification pool).
 from __future__ import annotations
 
 from .modules import (
-    BStr, ExactSequence, FormalSum, Module, Proj, TStr, Typ, Vac, as_sum, bstr,
-    head, is_projective, socle,
+    BStr, ExactSequence, FormalSum, Module, Proj, TStr, Typ, Vac, _merge, as_sum, bstr,
+    is_projective,
 )
 
 
@@ -126,19 +129,30 @@ def hom_dim(m, n) -> int:
     return _bilinear(_hom_modules, m, n)
 
 
-def _cover(simple: Module) -> Module:
-    # the projective cover, and injective hull, of a simple
-    return simple if isinstance(simple, Typ) else Proj(simple.ell)
+def _projectives_over(x, row: int) -> FormalSum:
+    # one P[f] per factor V[f] in the top (row 0) or bottom (row 1) row of
+    # each simple or string summand, read from its span and top-row parity;
+    # a projective summand is its own cover and hull
+    out = []
+    for mod, k in as_sum(x):
+        if is_projective(mod):
+            out.append((mod, k))
+            continue
+        lo, hi = _span(mod)
+        for p in _tops(mod):
+            p ^= row
+            out.extend([(Proj(f), k) for f in range(lo + (lo - p) % 2, hi + 1, 2)])
+    return FormalSum._from_sorted(_merge(out))
 
 
 def projective_cover(x) -> FormalSum:
     """Minimal projective mapping onto ``x``: the cover of its head."""
-    return head(x).map_modules(_cover)
+    return _projectives_over(x, 0)
 
 
 def injective_hull(x) -> FormalSum:
     """Minimal injective containing ``x``: the hull of its socle."""
-    return socle(x).map_modules(_cover)
+    return _projectives_over(x, 1)
 
 
 def presentation_kernel(mod: Module) -> Module:

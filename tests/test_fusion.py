@@ -1,5 +1,6 @@
 import hashlib
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
@@ -317,12 +318,17 @@ def test_pair_cache_is_bounded(monkeypatch):
     pairs = [(a, b) for a in pool for b in pool]
     expected = [fuse_detailed(a, b) for a, b in pairs]
     monkeypatch.setattr(fusion, "_PAIR_CACHE", {})
+    monkeypatch.setattr(fusion, "_PAIR_HELD", 0)
     monkeypatch.setattr(fusion, "PAIR_CACHE_LIMIT", 7)
-    sizes = []
+    sizes, held = [], []
     for (a, b), want in zip(pairs, expected):
         assert fuse_detailed(a, b) == want
         sizes.append(len(fusion._PAIR_CACHE))
-    assert max(sizes) == 7 and sizes.count(1) > 1  # filled up and emptied
+        held.append(fusion._PAIR_HELD)
+        # the limit counts each product once and each of its terms once
+        assert held[-1] == sum(1 + len(total.terms)
+                               for total, _, _ in fusion._PAIR_CACHE.values())
+    assert max(held) == 7 and sizes.count(1) > 1  # filled up and emptied
 
 
 def test_every_fusion_cache_is_bounded(monkeypatch):
@@ -336,10 +342,63 @@ def test_every_fusion_cache_is_bounded(monkeypatch):
     assert "_PAIR_CACHE" in caches
     for name in caches:
         monkeypatch.setattr(fusion, name, {})
+    monkeypatch.setattr(fusion, "_PAIR_HELD", 0)
     monkeypatch.setattr(fusion, "PAIR_CACHE_LIMIT", 7)
     for (a, b), want in zip(pairs, expected):
         assert fuse(a, b) == want
         assert max(len(getattr(fusion, name)) for name in caches) <= 7
+
+
+def test_pair_cache_is_bounded_by_the_labels_it_holds(monkeypatch):
+    # each flowed product B[1000,k] x T[999,k] holds 999 new labels, about
+    # 240 KiB; a cache bounded by entries alone grows by that per product
+    limit = 20_000
+    monkeypatch.setattr(fusion, "_PAIR_CACHE", {})
+    monkeypatch.setattr(fusion, "_PAIR_HELD", 0)
+    monkeypatch.setattr(fusion, "PAIR_CACHE_LIMIT", limit)
+    sizes = []
+    tracemalloc.start()
+    try:
+        for k in range(1, 101):
+            assert len(fuse(bstr(1000, k), tstr(999, k))) == 999
+            sizes.append(len(fusion._PAIR_CACHE))
+            assert fusion._PAIR_HELD <= limit
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert max(sizes) == limit // 1000 and sizes.count(1) > 1  # filled up and emptied
+    # 100 such products would hold about 24 MiB; the limit keeps 20 of them
+    assert peak < 8 * 2**20
+
+
+def test_flowed_miss_reads_the_cached_base_product(monkeypatch):
+    base_calls = []
+    fuse_base = fusion._fuse_base
+
+    def counted(a, b):
+        base_calls.append((a, b))
+        return fuse_base(a, b)
+
+    monkeypatch.setattr(fusion, "_PAIR_CACHE", {})
+    monkeypatch.setattr(fusion, "_PAIR_HELD", 0)
+    monkeypatch.setattr(fusion, "_fuse_base", counted)
+    pool = pool_modules(4, 1, (THIRD, TWO_THIRDS))
+    for a, b in combinations_with_replacement([m for m in pool if m.flow == 0], 2):
+        fuse(a, b)
+    built = len(base_calls)
+    assert built > 0
+    for a, b in combinations_with_replacement(pool, 2):
+        if a.flow or b.flow:
+            want = flow(fuse(a.flowed(-a.flow), b.flowed(-b.flow)), a.flow + b.flow)
+            before = len(fusion._PAIR_CACHE)
+            assert fuse(a, b) == want, (a, b)
+            # the base product is cached, so only the flowed one is added
+            assert len(fusion._PAIR_CACHE) == before + 1, (a, b)
+    assert len(base_calls) == built
+    # a flowed product whose base product is not cached stores both
+    fusion._PAIR_CACHE.clear()
+    assert fuse(bstr(5, 3), tstr(4, -1)) == flow(fuse(bstr(5, 0), tstr(4, 0)), 2)
+    assert len(fusion._PAIR_CACHE) == 2 and len(base_calls) == built + 1
 
 
 def test_compact_display_is_capped():

@@ -211,6 +211,29 @@ def test_cover_hull_closed_forms():
                 (proj(m + 2 * i + 1), 1) for i in range(k))
 
 
+def cover_of_simple(simple):
+    # test-only oracle: the projective cover, and injective hull, of a simple
+    return simple if isinstance(simple, Typ) else proj(simple.ell)
+
+
+def test_covers_and_hulls_match_the_head_and_socle_route():
+    import random
+    labels = [bstr(n, m) for n in range(1, 11) for m in range(-7, 8)]
+    labels += [tstr(n, m) for n in range(2, 11) for m in range(-7, 8)]
+    labels += [proj(m) for m in range(-7, 8)] + [typ(c, m) for c in (THIRD, Fraction(1, 2))
+                                                for m in range(-7, 8)]
+    labels += [bstr(1000, 0), bstr(1000, -7), tstr(1000, 1), bstr(999, 3), tstr(999, -4)]
+    rng = random.Random(25)
+    sums = [FormalSum([(rng.choice(labels), rng.randint(1, 3))
+                       for _ in range(rng.randint(1, 6))]) for _ in range(200)]
+    for x in labels + sums:
+        for op, simples in ((projective_cover, head), (injective_hull, socle)):
+            want = simples(x).map_modules(cover_of_simple)
+            got = op(x)
+            assert got == want, (op.__name__, x)
+            assert got.terms == want.terms and str(got) == str(want)
+
+
 def test_presentation_kernels_examples():
     assert presentation_kernel(bstr(3, 0)) == vac(1)
     assert presentation_kernel(bstr(4, 0)) == bstr(4, 1)

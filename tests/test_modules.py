@@ -106,6 +106,35 @@ def test_labels_are_immutable():
         assert pickle.loads(pickle.dumps(mod)) == mod
 
 
+# every family, with labels that an alias or a coset outside (0, 1) resolves to
+FLOWED_LABELS = LABELS + (
+    bstr(1, 4), tstr(1, -3), w_zero_minus(2), w_zero_plus(-1), typ(Fraction(5, 3), -7),
+    typ(Fraction(-1, 2), 0), bstr(1000, -1000), tstr(999, 999), proj(-1))
+
+
+def test_flow_is_the_last_entry_of_both_keys():
+    # fusion reads a flowed pair's base-flow key off its identity keys
+    for mod in FLOWED_LABELS:
+        assert mod._id[-1] == mod._key[-1] == mod.flow, mod
+        for k in (-1000, -1, 1, 3, 1000):
+            moved = mod.flowed(k)
+            assert type(moved) is type(mod)
+            assert moved._id == mod._id[:-1] + (mod.flow + k,), (mod, k)
+            assert moved._key == mod._key[:-1] + (mod.flow + k,), (mod, k)
+            assert hash(moved) == hash(moved._id)
+
+
+def test_labels_refuse_assignment_and_deletion_of_every_slot():
+    for mod in FLOWED_LABELS:
+        for name in mod._fields + ("_key", "_id", "_hash"):
+            value = getattr(mod, name)
+            with pytest.raises(AttributeError, match="immutable"):
+                setattr(mod, name, value)
+            with pytest.raises(AttributeError, match="immutable"):
+                delattr(mod, name)
+            assert getattr(mod, name) == value
+
+
 def test_label_repr_str_and_fields():
     assert [repr(m) for m in LABELS] == [
         "Vac(ell=-2)", "Typ(coset=Fraction(1, 3), ell=4)", "BStr(n=3, m=-1)",
