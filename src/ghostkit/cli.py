@@ -20,7 +20,7 @@ import sys
 # ``CharSeries`` right after ``import ghostkit.cli`` and needs both loaded.
 from . import characters, config
 from .grammar import parse_module_expr, parse_single_module
-from .modules import TOP, BStr, FormalSum, Proj, TStr, loewy, sequence_catalog
+from .modules import TOP, FormalSum, length, loewy, sequence_catalog
 
 # the names of ``verify.SUITES``, listed here so that building the parser
 # does not import ``verify``; a test keeps the two equal
@@ -70,20 +70,19 @@ def _render_diamond(m: int) -> str:
 # n = 20 (bound 799,600), 0.94 s and 146 MB at n = 22 (967,516) and 1.66 s
 # and 258 MB at n = 30 (1,799,100) (Python 3.11.7, 2-core VM).
 MAX_FUSE_TERMS = 1_000_000
-
-
-def _length(mod) -> int:
-    # the composition length, read from the label
-    if isinstance(mod, (BStr, TStr)):
-        return mod.n
-    return 4 if isinstance(mod, Proj) else 1
+# The most label pairs ``hom`` and ``ext`` let their two sums have.  Each pair
+# is one rule of constant cost, dearest between overlapping strings: 158 terms
+# each of ``B[1000,k]`` and ``T[999,k]`` a side (99,856 pairs) took 0.89 s for
+# hom and 2.23 s for ext, 316 terms ``V[k]`` a side 0.25 s and 0.33 s (whole
+# process, Python 3.11.7, 2-core VM).
+MAX_DIM_PAIRS = 100_000
 
 
 def _product_terms(a: FormalSum, b: FormalSum) -> int:
     """An upper bound on the terms of the pair products of ``a x b``: one
     pair product has at most ``length(x) + length(y)`` terms."""
-    return len(b) * sum(_length(x) for x in a.modules()) \
-        + len(a) * sum(_length(y) for y in b.modules())
+    return len(b) * sum(length(x) for x in a.modules()) \
+        + len(a) * sum(length(y) for y in b.modules())
 
 
 def _cmd_fuse(args, cfg) -> tuple[dict, str]:
@@ -116,6 +115,11 @@ def _cmd_dim(args, cfg) -> tuple[dict, str]:
 
     src = parse_module_expr(args.source)
     tgt = parse_module_expr(args.target)
+    pairs = len(src) * len(tgt)
+    if pairs > MAX_DIM_PAIRS:
+        raise ValueError(
+            f"{len(src)} by {len(tgt)} terms make {pairs} pairs, above the limit "
+            f"{MAX_DIM_PAIRS}; {args.command} smaller sums")
     dim = getattr(homalg, args.op)(src, tgt)
     return {"source": str(src), "target": str(tgt), "dim": dim}, str(dim)
 

@@ -13,8 +13,9 @@ bilinearly to sums.  Hom is computed structurally:
   hull of a simple is its projective (``W`` or ``P[l]`` over ``V[l]``), and
   a projective is its own, so a cover has one ``P[l]`` per head factor
   ``V[l]`` of each simple or string summand, and a hull one per socle
-  factor; both are read from the summand's span and top-row parity (see
-  below), building no simples;
+  factor; both come from ``modules._row_sum``, the reader of ``head`` and
+  ``socle``, which reads the summand's span and top-row parity (see below)
+  and builds no simples;
 * for modules in the vacuum sector (simples and strings) Hom counts images,
   segments that are quotients of the source and submodules of the target.
 
@@ -24,7 +25,9 @@ are.  A string's rows alternate, so the parity of its top-row flows fixes
 them; a simple's one factor is both top and bottom.  On the overlap
 ``[lo, hi]`` of the two spans, the images of one factor are the top factors
 of the source that are bottom factors of the target; a longer image needs
-two strings with the same rows and is then all of ``[lo, hi]``.
+two strings with the same rows and is then all of ``[lo, hi]``.  The span
+(``_span``), the top-row parities (``_tops``) and the flows of one parity
+in a range (``_flows``) are stated once, in ``modules``.
 
 First Ext groups come from the terminating Hom-Ext sequence of a minimal
 projective presentation ``0 -> K -> P0 -> M -> 0`` with ``P0`` both
@@ -58,18 +61,9 @@ verification pool).
 from __future__ import annotations
 
 from .modules import (
-    BStr, ExactSequence, FormalSum, Module, Proj, TStr, Typ, Vac, _merge, as_sum, bstr,
-    is_projective,
+    BStr, ExactSequence, FormalSum, Module, Proj, TStr, Typ, Vac, _flows, _row_sum, _span,
+    _tops, as_sum, bstr, is_projective,
 )
-
-
-def _span(mod: Module) -> tuple[int, int]:
-    # the least and greatest flow of a composition factor of mod
-    if isinstance(mod, Proj):
-        return mod.m - 1, mod.m + 1
-    if isinstance(mod, (BStr, TStr)):
-        return mod.m, mod.m + mod.n - 1
-    return mod.ell, mod.ell
 
 
 def _apart(m: Module, n: Module) -> bool:
@@ -79,14 +73,9 @@ def _apart(m: Module, n: Module) -> bool:
     return lo_n > hi_m + 1 or lo_m > hi_n + 1
 
 
-def _tops(mod: Module) -> tuple[int, ...]:
-    # the parities of the top-row flows: one for a string, both for a simple
-    return (0, 1) if isinstance(mod, Vac) else ((mod.m + isinstance(mod, BStr)) % 2,)
-
-
 def _count(lo: int, hi: int, parities) -> int:
     # the number of flows in [lo, hi] with one of the given parities
-    return sum(max(0, (hi - p) // 2 - (lo - 1 - p) // 2) for p in parities)
+    return sum(len(_flows(lo, hi, p)) for p in parities)
 
 
 def _hom_modules(m: Module, n: Module) -> int:
@@ -129,30 +118,14 @@ def hom_dim(m, n) -> int:
     return _bilinear(_hom_modules, m, n)
 
 
-def _projectives_over(x, row: int) -> FormalSum:
-    # one P[f] per factor V[f] in the top (row 0) or bottom (row 1) row of
-    # each simple or string summand, read from its span and top-row parity;
-    # a projective summand is its own cover and hull
-    out = []
-    for mod, k in as_sum(x):
-        if is_projective(mod):
-            out.append((mod, k))
-            continue
-        lo, hi = _span(mod)
-        for p in _tops(mod):
-            p ^= row
-            out.extend([(Proj(f), k) for f in range(lo + (lo - p) % 2, hi + 1, 2)])
-    return FormalSum._from_sorted(_merge(out))
-
-
 def projective_cover(x) -> FormalSum:
     """Minimal projective mapping onto ``x``: the cover of its head."""
-    return _projectives_over(x, 0)
+    return _row_sum(x, 0, Proj)
 
 
 def injective_hull(x) -> FormalSum:
     """Minimal injective containing ``x``: the hull of its socle."""
-    return _projectives_over(x, 1)
+    return _row_sum(x, 1, Proj)
 
 
 def presentation_kernel(mod: Module) -> Module:

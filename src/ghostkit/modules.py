@@ -37,8 +37,16 @@ share their term tuples instead of copying them.
 
 A string ``B[n,m]`` has composition factors ``V[m], ..., V[m+n-1]`` with the
 factor at offset ``k`` in the bottom row iff ``k`` is even; ``T[n,m]`` uses
-the opposite parity.  Arrows of the module action always point from a top
-factor to its adjacent bottom factors.
+the opposite parity.  Each string class states that rule once, as ``_top``,
+the parity of its top-row offsets, which ``rows()`` reads.  Arrows of the
+module action always point from a top factor to its adjacent bottom factors.
+
+A label's Loewy structure is read from its fields here, once: ``_span``
+(the least and greatest factor flow), ``_tops`` (the parities of the
+top-row flows of a simple or string) and ``_flows`` (the flows of one
+parity in a range).  ``length`` reads the fields alone, and ``_row_sum``,
+the one reader of a Loewy row, gives ``head`` and ``socle`` here and
+``homalg``'s covers and hulls; ``homalg`` counts Hom and Ext from them.
 
 Each per-family rule is one label method, which the rest of the package
 calls: ``flow`` (the flow index) and ``flowed(ell)``, ``conjugated()``,
@@ -196,7 +204,7 @@ class _String(_Label):
     _fields = __slots__
     _rank: int
     _letter: str
-    _rows: tuple[str, str]  # the rows of the factors at even and odd offsets
+    _top: int  # the parity of the offsets of the top-row factors
     _swap: type["_String"]  # the other letter
 
     def __init__(self, n: int, m: int):
@@ -228,7 +236,8 @@ class _String(_Label):
         return tuple([Vac(self.m + k) for k in range(self.n)])
 
     def rows(self) -> tuple[tuple[int, str], ...]:
-        return tuple([(self.m + k, self._rows[k % 2]) for k in range(self.n)])
+        return tuple([(self.m + k, TOP if k % 2 == self._top else BOTTOM)
+                      for k in range(self.n)])
 
     def __str__(self):
         return f"{self._letter}[{self.n},{self.m}]"
@@ -243,7 +252,7 @@ class BStr(_String):
     __slots__ = ()
     _rank = 2
     _letter = "B"
-    _rows = (BOTTOM, TOP)
+    _top = 1
 
 
 class TStr(_String):
@@ -252,7 +261,7 @@ class TStr(_String):
     __slots__ = ()
     _rank = 3
     _letter = "T"
-    _rows = (TOP, BOTTOM)
+    _top = 0
 
 
 BStr._swap, TStr._swap = TStr, BStr
@@ -452,15 +461,8 @@ class FormalSum:
         return FormalSum._from_sorted(tuple([(m.flowed(ell), k) for m, k in self._terms]))
 
     def map_modules(self, fn) -> "FormalSum":
-        """Apply ``fn`` (module -> module or FormalSum) term by term."""
-        out: list[tuple[Module, int]] = []
-        for mod, mult in self._terms:
-            image = fn(mod)
-            if isinstance(image, FormalSum):
-                out.extend((m, k * mult) for m, k in image.terms)
-            else:
-                out.append((image, mult))
-        return FormalSum(out)
+        """Apply ``fn`` (module -> module) term by term."""
+        return FormalSum([(fn(mod), mult) for mod, mult in self._terms])
 
     def __add__(self, other: "FormalSum") -> "FormalSum":
         if not isinstance(other, FormalSum):
@@ -518,8 +520,48 @@ def composition_factors(x) -> dict[Module, int]:
 
 
 def length(x) -> int:
-    """Composition length (1 for simples, n for strings, 4 for staggered)."""
-    return sum(composition_factors(x).values())
+    """Composition length (1 for simples, n for strings, 4 for staggered),
+    read from the label fields."""
+    return sum(k * (mod.n if isinstance(mod, _String) else 4 if isinstance(mod, Proj) else 1)
+               for mod, k in as_sum(x))
+
+
+def _span(mod: Module) -> tuple[int, int]:
+    # the least and greatest flow of a composition factor of mod
+    if isinstance(mod, Proj):
+        return mod.m - 1, mod.m + 1
+    if isinstance(mod, _String):
+        return mod.m, mod.m + mod.n - 1
+    return mod.ell, mod.ell
+
+
+def _tops(mod: Module) -> tuple[int, ...]:
+    # the parities of the top-row flows: one for a string, both for a simple
+    return (0, 1) if isinstance(mod, Vac) else ((mod.m + mod._top) % 2,)
+
+
+def _flows(lo: int, hi: int, p: int) -> range:
+    # the flows of parity p in [lo, hi]
+    return range(lo + (lo - p) % 2, hi + 1, 2)
+
+
+def _row_sum(x, row: int, label) -> FormalSum:
+    """One ``label(f)`` per factor ``V[f]`` in the top (``row`` 0) or bottom
+    (``row`` 1) row of each summand of ``x``: ``f = m`` for ``P[m]``, else
+    the flows of that row's parity in the span of a simple or string.  A
+    ``W`` is kept.  ``label`` is ``Vac`` for head and socle, ``Proj`` for
+    projective cover and injective hull."""
+    out = []
+    for mod, k in as_sum(x):
+        if isinstance(mod, Typ):
+            out.append((mod, k))
+        elif isinstance(mod, Proj):
+            out.append((label(mod.m), k))
+        else:
+            lo, hi = _span(mod)
+            for p in _tops(mod):
+                out.extend([(label(f), k) for f in _flows(lo, hi, p ^ row)])
+    return FormalSum._from_sorted(_merge(out))
 
 
 class LoewyWord(NamedTuple):
@@ -540,24 +582,14 @@ def loewy(mod: Module) -> LoewyWord:
     return LoewyWord(mod.rows(), diamond=isinstance(mod, Proj))
 
 
-def _row_factors(x, row: str) -> FormalSum:
-    # the factors in one Loewy row of each non-simple summand
-    def one(mod: Module) -> FormalSum:
-        if is_simple(mod):
-            return FormalSum.of(mod)
-        return FormalSum((Vac(f), 1) for f, r in mod.rows() if r == row)
-
-    return as_sum(x).map_modules(one)
-
-
 def socle(x) -> FormalSum:
     """Maximal semisimple submodule, as a sum of simples."""
-    return _row_factors(x, BOTTOM)
+    return _row_sum(x, 1, Vac)
 
 
 def head(x) -> FormalSum:
     """Maximal semisimple quotient, as a sum of simples."""
-    return _row_factors(x, TOP)
+    return _row_sum(x, 0, Vac)
 
 
 class ExactSequence(NamedTuple):

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import random
 from fractions import Fraction
 from typing import NamedTuple
@@ -92,6 +93,40 @@ def _pool(cfg: Config) -> list[Module]:
     return pool_modules(cfg.pool_max_length, cfg.pool_max_flow, cfg.pool_cosets)
 
 
+def _ring_character(x) -> dict[tuple[tuple[int, int], int], int]:
+    """An exact character of the Grothendieck ring: ``V[l]`` goes to
+    ``(-x)^l`` and ``W[a,l]`` to ``(-1)^(l+1) [a] x^(l-1) (1-x)``, with ``x``
+    a formal variable and ``[a]`` the group element ``a`` of ``Q/Z``, summed
+    over the composition factors of ``x``.  Stored as ``{(coset, power of x):
+    coefficient}`` without zero coefficients, a coset ``p/q`` as the ints
+    ``(p, q)``.  ``1 - x`` is not a zero divisor, so the character is
+    injective on classes."""
+    out: dict[tuple[tuple[int, int], int], int] = {}
+    for mod, k in composition_factors(x).items():
+        ell = mod.ell
+        sign = -1 if ell % 2 else 1
+        if isinstance(mod, Vac):
+            parts = ((((0, 1), ell), sign),)
+        else:
+            a = (mod.coset.numerator, mod.coset.denominator)
+            parts = (((a, ell - 1), -sign), ((a, ell), sign))
+        for key, c in parts:
+            out[key] = out.get(key, 0) + k * c
+    return {key: c for key, c in out.items() if c}
+
+
+def _ring_product(f: dict, g: dict) -> dict[tuple[tuple[int, int], int], int]:
+    # the product of two ring characters: cosets add mod 1, powers of x add
+    out: dict[tuple[tuple[int, int], int], int] = {}
+    for ((p, q), i), c in f.items():
+        for ((r, t), j), d in g.items():
+            num, den = (p * t + r * q) % (q * t), q * t
+            h = math.gcd(num, den)
+            key = ((num // h, den // h), i + j)
+            out[key] = out.get(key, 0) + c * d
+    return {key: c for key, c in out.items() if c}
+
+
 def fusion_suite(cfg: Config | None = None) -> list[Check]:
     pool = _pool(cfg or Config())
     pairs = list(itertools.combinations_with_replacement(pool, 2))
@@ -107,6 +142,11 @@ def fusion_suite(cfg: Config | None = None) -> list[Check]:
 
     def grothendieck(a, b):
         return groth_class(products[(a, b)]) == groth_product(groth_class(a), groth_class(b))
+
+    ring = {mod: _ring_character(mod) for mod in pool}
+
+    def ring_character(a, b):
+        return _ring_character(products[(a, b)]) == _ring_product(ring[a], ring[b])
 
     def rigidity_trace(mod):
         unit = vac(0) if isinstance(mod, Vac) else proj(0)
@@ -131,6 +171,8 @@ def fusion_suite(cfg: Config | None = None) -> list[Check]:
         _check("Grothendieck homomorphism", ordinary, grothendieck, "ordinary pairs"),
         _check("Grothendieck homomorphism, guard-extended", guarded, grothendieck,
                "guard-extended pairs"),
+        _check("ring character", pairs, ring_character,
+               "chi(A x B) = chi(A) chi(B) exactly, unordered pairs"),
         _check("projective sum totals",
                ((m, n) for m in range(1, 13) for n in range(1, 13)),
                lambda m, n: expand_projsum(m, n, 0).total() == m * n, "m, n <= 12"),

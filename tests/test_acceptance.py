@@ -40,7 +40,8 @@ CRITERION_CHECKS = {
     3: ("fusion", ("flow compatibility", "star-dual compatibility",
                    "conjugation-flow compatibility")),
     4: ("fusion", ("Grothendieck homomorphism",
-                   "Grothendieck homomorphism, guard-extended", "projective sum totals")),
+                   "Grothendieck homomorphism, guard-extended", "ring character",
+                   "projective sum totals")),
     5: ("homalg", ("hom table", "ext table", "simple ext dimensions",
                    "ext against a relaxed simple vanishes", "string extension lemma",
                    "covers and hulls", "defining extensions are unique")),
@@ -153,7 +154,7 @@ def test_criterion_3_functor_compat():
 
 @criterion(4, "Grothendieck ring homomorphism")
 def test_criterion_4_grothendieck():
-    _, guarded, _ = _passed(4)
+    _, guarded, *_ = _passed(4)
     assert guarded.cases > 0  # the sweep genuinely covers guard-extended cases
 
 

@@ -11,7 +11,7 @@ import jsonschema
 import pytest
 
 import ghostkit
-from ghostkit import characters, cli, fusion, grammar, modules, rigidity, verify
+from ghostkit import characters, cli, fusion, grammar, homalg, modules, rigidity, verify
 from ghostkit.cli import build_parser, main
 
 
@@ -447,6 +447,35 @@ def test_fuse_product_term_bound():
     twenty = [grammar.parse_module_expr(" + ".join(f"{s}[{n},{k}]" for k in range(20)))
               for s, n in (("B", 1000), ("T", 999))]
     assert cli._product_terms(*twenty) == 799_600 <= cli.MAX_FUSE_TERMS
+
+
+@pytest.mark.parametrize("command, rule", [("hom", "_hom_modules"), ("ext", "_ext_modules")])
+def test_dim_above_the_pair_limit_is_refused_before_any_pair(capsys, monkeypatch, command, rule):
+    def no_pair(*args):
+        raise AssertionError("a label pair was computed")
+
+    monkeypatch.setattr(homalg, rule, no_pair)
+    source = " + ".join(f"V[{k}]" for k in range(100))
+    target = " + ".join(f"V[{k}]" for k in range(1001))
+    code, out, err = run(capsys, command, source, target)
+    assert code == 1
+    assert out == ""
+    assert err == ("error: 100 by 1001 terms make 100100 pairs, above the limit "
+                   f"{cli.MAX_DIM_PAIRS}; {command} smaller sums\n")
+    # V[0]+...+V[15789] is 130,999 bytes, within one command-line argument
+    whole = "+".join(f"V[{k}]" for k in range(15790))
+    code, out, err = run(capsys, command, whole, whole)
+    assert (code, out) == (1, "")
+    assert "15790 by 15790 terms make 249324100 pairs" in err
+
+
+@pytest.mark.parametrize("command, want", [("hom", "100"), ("ext", "199")])
+def test_dim_at_the_pair_limit_answers(capsys, command, want):
+    source = " + ".join(f"V[{k}]" for k in range(100))
+    target = " + ".join(f"V[{k}]" for k in range(1000))
+    assert len(source.split("+")) * len(target.split("+")) == cli.MAX_DIM_PAIRS
+    code, out, _ = run(capsys, command, source, target)
+    assert (code, out) == (0, want + "\n")
 
 
 @pytest.mark.parametrize("command", ["hom", "ext", "fuse"])

@@ -5,8 +5,8 @@ from fractions import Fraction
 import pytest
 
 from ghostkit.modules import (
-    BOTTOM, TOP, BStr, FormalSum, Proj, TStr, Typ, Vac, _Label, bstr, composition_factors,
-    head, is_injective, is_projective, length, loewy, proj,
+    BOTTOM, TOP, BStr, FormalSum, Proj, TStr, Typ, Vac, _Label, _tops, as_sum, bstr,
+    composition_factors, head, is_injective, is_projective, is_simple, length, loewy, proj,
     sequence_catalog, socle, tstr, typ, vac, w_zero_minus, w_zero_plus,
 )
 
@@ -216,6 +216,52 @@ def test_socle_head_alternate_along_strings():
             hd = dict(composition_factors(head(mod)))
             assert set(soc) | set(hd) == set(composition_factors(mod))
             assert not set(soc) & set(hd)
+
+
+def row_factors(x, row: str) -> FormalSum:
+    """The factors in Loewy row ``row`` of each summand of ``x``, read from
+    its ``rows()`` word, with a simple summand kept whole: the head and
+    socle route before both were read from span and top-row parity.  A
+    test-only oracle."""
+    out = FormalSum()
+    for mod, k in as_sum(x):
+        if is_simple(mod):
+            out += FormalSum.of(mod, k)
+        else:
+            out += FormalSum((Vac(f), k) for f, r in mod.rows() if r == row)
+    return out
+
+
+# every string of length at most 10 at base flows -7..7, projectives, relaxed
+# simples, strings of length 999 and 1000, and 200 seeded sums of them
+ROW_LABELS = [bstr(n, m) for n in range(1, 11) for m in range(-7, 8)]
+ROW_LABELS += [tstr(n, m) for n in range(2, 11) for m in range(-7, 8)]
+ROW_LABELS += [proj(m) for m in range(-7, 8)] + [
+    typ(c, m) for c in (Fraction(1, 3), Fraction(1, 2)) for m in range(-7, 8)]
+ROW_LABELS += [bstr(1000, 0), bstr(1000, -7), tstr(1000, 1), bstr(999, 3), tstr(999, -4)]
+_rng = random.Random(25)
+ROW_SUMS = [FormalSum([(_rng.choice(ROW_LABELS), _rng.randint(1, 3))
+                       for _ in range(_rng.randint(1, 6))]) for _ in range(200)]
+
+
+def test_head_and_socle_match_the_rows_route():
+    for x in ROW_LABELS + ROW_SUMS:
+        for op, row in ((head, TOP), (socle, BOTTOM)):
+            got, want = op(x), row_factors(x, row)
+            assert got.terms == want.terms and str(got) == str(want), (op.__name__, x)
+
+
+def test_length_counts_the_composition_factors():
+    for x in ROW_LABELS + ROW_SUMS:
+        assert length(x) == sum(composition_factors(x).values()), x
+
+
+def test_top_row_parities_match_the_rows():
+    # the one row rule: rows() and _tops read the same class attribute
+    for mod in ROW_LABELS:
+        if isinstance(mod, (BStr, TStr)) and mod.n <= 10:
+            tops = {f % 2 for f, r in mod.rows() if r == TOP}
+            assert tops == set(_tops(mod)) and len(_tops(mod)) == 1, mod
 
 
 def test_projectivity_flags():

@@ -5,9 +5,10 @@ import pytest
 
 from ghostkit.cli import main
 from ghostkit.config import Config
-from ghostkit.modules import BStr, Proj, TStr, Typ, Vac
+from ghostkit.modules import BStr, FormalSum, Proj, TStr, Typ, Vac
 from ghostkit.verify import (
-    MAX_POOL_COSETS, SUITES, fusion_suite, numerics_suite, pool_modules, run_suites,
+    MAX_POOL_COSETS, SUITES, _ring_character, _ring_product, fusion_suite, numerics_suite,
+    pool_modules, run_suites,
 )
 
 
@@ -103,3 +104,19 @@ def test_numerics_failure_names_its_grid_point(monkeypatch, check, patched, brok
     assert not result.passed
     assert result.cases == 50
     assert result.detail.endswith(f"; 1 failed, first at {bad}")
+
+
+def test_ring_character_values():
+    third, two_thirds = Typ(Fraction(1, 3), 0), Typ(Fraction(2, 3), 2)
+    # V[l] -> (-x)^l; W[a,l] -> (-1)^(l+1) [a] x^(l-1) (1-x)
+    assert _ring_character(Vac(-3)) == {((0, 1), -3): -1}
+    assert _ring_character(two_thirds) == {((2, 3), 1): -1, ((2, 3), 2): 1}
+    # P[0] has factors V[-1] + 2 V[0] + V[1]: -1/x + 2 - x
+    assert _ring_character(Proj(0)) == {((0, 1), -1): -1, ((0, 1), 0): 2, ((0, 1), 1): -1}
+    assert _ring_character(FormalSum([(Vac(0), 2), (Vac(1), 2)])) == {
+        ((0, 1), 0): 2, ((0, 1), 1): -2}
+    assert _ring_character(FormalSum()) == {}
+    # W[1/3,0] x W[2/3,2] is P[1]; the character tells it from the other flows of P
+    product = _ring_product(_ring_character(third), _ring_character(two_thirds))
+    assert product == _ring_character(Proj(1))
+    assert product != _ring_character(Proj(2)) and product != _ring_character(Proj(0))
