@@ -29,9 +29,16 @@ Products of label pairs, the base-flow pairs among them, are kept in one
 cache keyed by the pair's identity keys.  The flow is the last entry of
 every identity key, so a flowed pair that misses finds its base product
 under its own key with both flows set to 0, and builds the two base-flow
-labels only when that product is not cached either.  The cache is bounded
+labels only when that product is not cached either.  The cached products
+share their labels: one table, ``_LABELS``, holds one label per identity
+key, so equal terms of different products are one object and compare by
+identity.  A base product's labels are replaced by the table's, and a flowed
+miss looks each label up under its base label's key with the flow moved,
+flowing the base label only when the table lacks it.  The cache is bounded
 by what it holds, one for each product and one for each of its terms, and
-is emptied before a store would take that count above ``PAIR_CACHE_LIMIT``.
+is emptied, with the table, before a store would take that count above
+``PAIR_CACHE_LIMIT``; the table holds only labels of cached products, so it
+never holds more than that count.
 :func:`fuse_detailed` adds the pair products of two sums with the one merge
 of ``modules``, which keeps each unmerged term tuple of a cached product
 rather than copying it; the product of two single terms of multiplicity
@@ -183,11 +190,14 @@ def _fuse_base(a: Module, b: Module) -> tuple[FormalSum, bool, ProjSum | None]:
 # counts ``1 + len(total.terms)``, and the cache is emptied before a store
 # would take the count above this limit.  One product of two length-1000
 # strings holds about 1,000 labels (about 243 KiB), so the limit bounds the
-# cache at about 130 MB; the fusion suite ends at 40,582 products holding
-# 226,919, and no benchmark workload comes near it.
+# cache at about 130 MB.  ``_LABELS``, keyed by identity key, is emptied with
+# the cache and holds only labels of cached products, so it is bounded by the
+# same count.  The fusion suite ends at 40,611 products holding 227,060, with
+# 792 labels in the table, and no benchmark workload comes near the limit.
 PAIR_CACHE_LIMIT = 1 << 19
 _PAIR_CACHE: dict[tuple, tuple[FormalSum, bool, ProjSum | None]] = {}
 _PAIR_HELD = 0  # the count of what _PAIR_CACHE holds, as above
+_LABELS: dict[tuple, Module] = {}  # the one label per identity key, as above
 
 
 def _fuse_modules(a: Module, b: Module) -> tuple[FormalSum, bool, ProjSum | None]:
@@ -210,16 +220,33 @@ def _fuse_modules(a: Module, b: Module) -> tuple[FormalSum, bool, ProjSum | None
             base = _fuse_modules(a.flowed(-fa), b.flowed(-fb))
         total, guard, s = base
         shift = fa + fb
-        if shift:
-            total = total.flowed(shift)
-            s = None if s is None else ProjSum(s.m, s.n, s.k + shift)
-        out = (total, guard, s)
     else:
-        out = _fuse_base(a, b)
-    held = 1 + len(out[0].terms)
+        total, guard, s = _fuse_base(a, b)
+        shift = None
+    held = 1 + len(total.terms)
+    # emptied before this product's labels enter the table, so that the
+    # table holds only labels of cached products
     if _PAIR_HELD + held > PAIR_CACHE_LIMIT:
         _PAIR_CACHE.clear()
+        _LABELS.clear()
         _PAIR_HELD = 0
+    if shift is None:
+        total = FormalSum._from_sorted(
+            tuple([(_LABELS.setdefault(m._id, m), k) for m, k in total.terms]))
+    elif shift:
+        # each label is looked up under its base label's identity key with
+        # the flow moved, and flowed only when the table lacks it
+        terms = []
+        for m, k in total.terms:
+            i = m._id
+            i = i[:-1] + (i[-1] + shift,)
+            label = _LABELS.get(i)
+            if label is None:
+                label = _LABELS[i] = m.flowed(shift)
+            terms.append((label, k))
+        total = FormalSum._from_sorted(tuple(terms))
+        s = None if s is None else ProjSum(s.m, s.n, s.k + shift)
+    out = (total, guard, s)
     _PAIR_CACHE[key] = out
     _PAIR_HELD += held
     return out

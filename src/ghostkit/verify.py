@@ -127,6 +127,11 @@ def _ring_product(f: dict, g: dict) -> dict[tuple[tuple[int, int], int], int]:
     return {key: c for key, c in out.items() if c}
 
 
+def _nonproj(x) -> FormalSum:
+    """The sum of the non-projective terms of ``x``."""
+    return FormalSum([(m, k) for m, k in x if not is_projective(m)])
+
+
 def fusion_suite(cfg: Config | None = None) -> list[Check]:
     pool = _pool(cfg or Config())
     pairs = list(itertools.combinations_with_replacement(pool, 2))
@@ -147,6 +152,14 @@ def fusion_suite(cfg: Config | None = None) -> list[Check]:
 
     def ring_character(a, b):
         return _ring_character(products[(a, b)]) == _ring_product(ring[a], ring[b])
+
+    # M x N is exact in M and projectives form a tensor ideal, so a syzygy
+    # and a cosyzygy of M pass through fusion up to projective summands
+    shifts = [(m, n) for m in pool if not is_projective(m) for n in pool]
+
+    def commutes(omega):
+        return lambda m, n: _nonproj(fuse(omega(m), n)) == FormalSum(
+            [(omega(t), k) for t, k in _nonproj(products[(m, n)])])
 
     def rigidity_trace(mod):
         unit = vac(0) if isinstance(mod, Vac) else proj(0)
@@ -173,6 +186,10 @@ def fusion_suite(cfg: Config | None = None) -> list[Check]:
                "guard-extended pairs"),
         _check("ring character", pairs, ring_character,
                "chi(A x B) = chi(A) chi(B) exactly, unordered pairs"),
+        _check("syzygy commutes with fusion", shifts, commutes(homalg.presentation_kernel),
+               "nonproj(Omega(M) x N) = Omega(nonproj(M x N)), M not projective"),
+        _check("cosyzygy commutes with fusion", shifts, commutes(homalg.presentation_cokernel),
+               "the same for Omega^-1, M not projective"),
         _check("projective sum totals",
                ((m, n) for m in range(1, 13) for n in range(1, 13)),
                lambda m, n: expand_projsum(m, n, 0).total() == m * n, "m, n <= 12"),
@@ -343,6 +360,11 @@ def homalg_suite(cfg: Config | None = None) -> list[Check]:
                ((seq,) for seq in catalog
                 if seq.tag in {"b-odd-grow", "b-even-grow", "t-odd-grow", "t-even-grow"}),
                defining_extension_unique),
+        _check("Ext2 by dimension shifting",
+               itertools.product([m for m in pool if not is_projective(m)], repeat=2),
+               lambda m, n: homalg.ext_dim(homalg.presentation_kernel(m), n)
+               == homalg.ext_dim(m, homalg.presentation_cokernel(n)),
+               "ext(Omega(M), N) = ext(M, Omega^-1(N)), neither projective"),
         _check("duality and flow symmetry of hom/ext",
                itertools.product(sample, repeat=2), _hom_ext_symmetric,
                f"{len(sample)}^2 sampled pairs"),

@@ -38,7 +38,8 @@ def _suite(name):
 CRITERION_CHECKS = {
     2: ("fusion", ("commutativity", "associativity")),
     3: ("fusion", ("flow compatibility", "star-dual compatibility",
-                   "conjugation-flow compatibility")),
+                   "conjugation-flow compatibility", "syzygy commutes with fusion",
+                   "cosyzygy commutes with fusion")),
     4: ("fusion", ("Grothendieck homomorphism",
                    "Grothendieck homomorphism, guard-extended", "ring character",
                    "projective sum totals")),
@@ -48,7 +49,8 @@ CRITERION_CHECKS = {
     # presentation balance pins the odd-length subscripts (m+1 kernels on
     # bottom-anchored strings, and the dual flows on the rest)
     6: ("homalg", ("catalog factor balance", "Euler characteristic vs projective probes",
-                   "presentation balance", "duality and flow symmetry of hom/ext")),
+                   "presentation balance", "Ext2 by dimension shifting",
+                   "duality and flow symmetry of hom/ext")),
     7: ("characters", ("oracle agreement", "additivity on the catalog",
                        "flow transform", "dual transform")),
     8: ("numerics", ("hypergeometric and beta identities",

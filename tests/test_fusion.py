@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import random
 import tracemalloc
@@ -410,3 +411,74 @@ def test_compact_display_is_capped():
     limit = f"1000000000 entries, above the limit {MAX_COMPACT_ENTRIES}"
     with pytest.raises(ValueError, match=limit):
         res.compact
+
+
+def _fresh_caches(monkeypatch):
+    monkeypatch.setattr(fusion, "_PAIR_CACHE", {})
+    monkeypatch.setattr(fusion, "_LABELS", {})
+    monkeypatch.setattr(fusion, "_PAIR_HELD", 0)
+
+
+def test_cached_products_share_their_labels(monkeypatch):
+    _fresh_caches(monkeypatch)
+    # two flowed misses on one base product, B[3,0] x B[3,0], both at shift 82
+    first, second = fuse(bstr(3, 40), bstr(3, 42)), fuse(bstr(3, 41), bstr(3, 41))
+    assert first == second and len(first.terms) > 1
+    assert all(m is n for (m, _), (n, _) in zip(first.terms, second.terms))
+    # the base product's labels are the table's too, and flowed back to base
+    # flow a product finds them
+    base = fuse(bstr(3, 0), bstr(3, 0))
+    assert all(fusion._LABELS[m._id] is m for m, _ in base.terms)
+    back = fuse(bstr(3, 1), bstr(3, -1))
+    assert all(m is n for (m, _), (n, _) in zip(base.terms, back.terms))
+
+
+def test_label_table_is_bounded_by_the_pair_cache(monkeypatch):
+    _fresh_caches(monkeypatch)
+    pool = pool_modules()
+    for a, b in combinations_with_replacement(pool, 2):
+        fuse(a, b)
+    assert 0 < len(fusion._LABELS) <= fusion._PAIR_HELD
+    # every label of every cached product is the table's own object
+    for total, _, _ in fusion._PAIR_CACHE.values():
+        for m, _ in total.terms:
+            assert fusion._LABELS[m._id] is m
+
+
+def test_label_table_is_emptied_with_the_pair_cache(monkeypatch):
+    pool = pool_modules(3, 1)
+    pairs = [(a, b) for a in pool for b in pool]
+    expected = [fuse(a, b) for a, b in pairs]
+    _fresh_caches(monkeypatch)
+    monkeypatch.setattr(fusion, "PAIR_CACHE_LIMIT", 250)
+    inner, depth, nested_clears = fusion._fuse_modules, [0], []
+
+    def watched(a, b):
+        held = fusion._PAIR_HELD
+        depth[0] += 1
+        try:
+            return inner(a, b)
+        finally:
+            depth[0] -= 1
+            if depth[0] and fusion._PAIR_HELD < held:  # emptied inside a base call
+                nested_clears.append((a, b))
+
+    monkeypatch.setattr(fusion, "_fuse_modules", watched)
+    sizes = []
+    for (a, b), want in zip(pairs, expected):
+        assert fuse(a, b) == want, (a, b)
+        assert len(fusion._LABELS) <= fusion._PAIR_HELD <= 250
+        # the table keeps no label of a product the cache dropped
+        held = {id(m) for total, _, _ in fusion._PAIR_CACHE.values() for m, _ in total.terms}
+        assert all(id(m) in held for m in fusion._LABELS.values())
+        sizes.append(len(fusion._LABELS))
+    assert any(later < earlier for earlier, later in zip(sizes, sizes[1:]))  # emptied
+    assert nested_clears
+
+
+def test_fusion_leaves_the_collector_settings_alone():
+    enabled, threshold = gc.isenabled(), gc.get_threshold()
+    pool = pool_modules(4, 1)
+    for a, b in combinations_with_replacement(pool, 2):
+        fuse(flow(a, 5), b)
+    assert (gc.isenabled(), gc.get_threshold()) == (enabled, threshold)
