@@ -29,13 +29,16 @@ oracle refuses weights above :data:`MAX_ORACLE_WEIGHT`, where its
 enumeration would run for seconds.
 
 All weights of a flowed simple share their fractional parts (its sector),
-so a :class:`CharSeries` keeps, per sector, a grid keyed by integer offsets
-within it, and keys its per-column certified bounds ``col_hmax`` (entries at
-or below one are complete, nothing is claimed above it) by integer offsets
-too.  :func:`character` lays vacuum-sector factors out in integers alone and
-adds the factors of a sector column by column, their tops aligned.  Sums,
-comparisons and the flow and dual transforms work on the integer keys, with
-one rational step per distinct bound and, for a flow, per column;
+so a :class:`CharSeries` keeps, per sector, each column (an integer offset
+within the sector) as a tuple of maximal runs of nonzero counts over
+consecutive integer offsets in ``h``, and keys its per-column certified
+bounds ``col_hmax`` (entries at or below one are complete, nothing is
+claimed above it) by integer offsets too.  A column of a simple is one run
+ending at the sector's top, so :func:`character` stores the table slices as
+they are and adds the factors of a sector column by column, their tops
+aligned.  Sums and comparisons cut and add runs; the flow and dual
+transforms re-key whole columns, one step per column whatever its depth,
+with one rational step per distinct bound and, for a flow, per column;
 ``Fraction`` keys are built only when entries or bounds are read out.
 
 Characters of non-simple indecomposables are the sums of their composition
@@ -50,7 +53,6 @@ import math
 from collections import namedtuple
 from collections.abc import Iterator, Mapping
 from fractions import Fraction
-from itertools import repeat
 from operator import add, sub
 
 from .modules import Module, Vac, composition_factors, is_simple
@@ -78,28 +80,91 @@ def _per_bound(cols: dict[int, Fraction], f) -> dict:
     return out
 
 
+def _runs_of(pairs) -> tuple:
+    # ascending ``(b, d)`` pairs as maximal runs ``(lo, counts)`` of nonzero
+    # counts, ``counts[i]`` at ``lo + i``; zeros end a run and are not kept
+    runs, lo, counts = [], 0, []
+    for b, d in pairs:
+        if not d:
+            continue
+        if b != lo + len(counts):
+            if counts:
+                runs.append((lo, tuple(counts)))
+            lo, counts = b, []
+        counts.append(d)
+    if counts:
+        runs.append((lo, tuple(counts)))
+    return tuple(runs)
+
+
+def _add_runs(x: tuple, y: tuple) -> tuple:
+    """The sum of two columns, each a tuple of maximal runs, as maximal runs
+    (empty when everything cancels)."""
+    if len(x) == 1 == len(y):
+        (lo, c), = x
+        (hi, s), = y
+        if lo > hi:
+            lo, c, hi, s = hi, s, lo, c
+        # two overlapping runs add as aligned slices unless a sum is 0; the
+        # sum is built in a list, as short-lived tuples of many lengths would
+        # stay on CPython's tuple free lists: char-grid peak_rss_mb 21.69
+        # against 20.95 (one run each, seed 3)
+        if (i := hi - lo) < len(c):
+            out, n = list(c), i + len(s)
+            out[i:n] = map(add, out[i:n], s)
+            if n > len(out):
+                out += s[len(out) - i:]
+            if all(out):
+                return ((lo, tuple(out)),)
+    total: dict[int, int] = {}
+    for lo, counts in (*x, *y):
+        for b, d in enumerate(counts, lo):
+            total[b] = total.get(b, 0) + d
+    return _runs_of(sorted(total.items()))
+
+
+def _cut(runs: tuple, limit: int) -> tuple:
+    # the part of one column's runs at or below ``limit``
+    lo, counts = runs[-1]
+    if lo + len(counts) <= limit + 1:
+        return runs
+    out = []
+    for lo, counts in runs:
+        if lo > limit:
+            break
+        out.append((lo, counts[:limit + 1 - lo]))
+    return tuple(out)
+
+
 class CharSeries:
     """A truncated character table with per-column certified bounds.
 
     ``col_hmax`` maps each ghost column ``j`` to its certified bound.  Both
     are stored by the fractional part ``jf`` of ``j``, in ``[0, 1)``: the
     bounds as ``{jf: {a: bound}}`` for the column ``jf + a``, the entries per
-    sector ``(jf, hf)`` as a nonempty grid ``{(a, b): d}`` of plain integers
-    standing for the weight ``(jf + a, hf + b)``.  ``Fraction`` keys are
-    built only by :attr:`col_hmax`, :attr:`coeffs` and :meth:`entries`.
+    sector ``(jf, hf)`` as ``{a: runs}``, one nonempty tuple of runs per
+    nonempty column ``jf + a``.  A run ``(lo, counts)`` holds nonzero plain
+    integers, ``counts[i]`` standing for the weight ``(jf + a, hf + lo + i)``;
+    the runs of a column ascend and never touch, so each series has one
+    stored form and a zero count is no entry.  ``Fraction`` keys are built
+    only by :attr:`col_hmax`, :attr:`coeffs` and :meth:`entries`.
     """
 
     __slots__ = ("_bounds", "_sectors")
 
     def __init__(self, col_hmax: Mapping[Fraction, Fraction],
                  coeffs: Mapping[tuple[Fraction, Fraction], int]):
-        self._bounds, self._sectors = {}, {}
+        self._bounds = {}
         for j, bound in col_hmax.items():
             jf, a = _split(Fraction(j))
             self._bounds.setdefault(jf, {})[a] = bound
+        columns: dict = {}
         for (j, h), d in coeffs.items():
-            (jf, a), (hf, b) = _split(Fraction(j)), _split(Fraction(h))
-            self._sectors.setdefault((jf, hf), {})[(a, b)] = d
+            if d:
+                (jf, a), (hf, b) = _split(Fraction(j)), _split(Fraction(h))
+                columns.setdefault((jf, hf), {}).setdefault(a, []).append((b, d))
+        self._sectors = {sector: {a: _runs_of(sorted(col)) for a, col in cols.items()}
+                         for sector, cols in columns.items()}
 
     @classmethod
     def _from_sectors(cls, bounds, sectors) -> "CharSeries":
@@ -110,12 +175,19 @@ class CharSeries:
     def __repr__(self) -> str:
         return f"CharSeries({self.col_hmax!r}, {self.coeffs!r})"
 
-    def _runs(self) -> Iterator[list[tuple[Fraction, Fraction, int]]]:
+    def _sector_entries(self) -> Iterator[list[tuple[Fraction, Fraction, int]]]:
         # per sector, its entries ``(j, h, d)`` in ascending order
-        for (jf, hf), grid in self._sectors.items():
-            js = {a: jf + a if jf else Fraction(a) for a in {a for a, _ in grid}}
-            hs = {b: hf + b if hf else Fraction(b) for b in {b for _, b in grid}}
-            yield [(js[a], hs[b], d) for (a, b), d in sorted(grid.items())]
+        for (jf, hf), cols in self._sectors.items():
+            hs: dict[int, Fraction] = {}
+            out = []
+            for a in sorted(cols):
+                j = jf + a if jf else Fraction(a)
+                for lo, counts in cols[a]:
+                    for b, d in enumerate(counts, lo):
+                        if (h := hs.get(b)) is None:
+                            h = hs[b] = hf + b if hf else Fraction(b)
+                        out.append((j, h, d))
+            yield out
 
     @property
     def col_hmax(self) -> dict[Fraction, Fraction]:
@@ -126,7 +198,7 @@ class CharSeries:
     @property
     def coeffs(self) -> dict[tuple[Fraction, Fraction], int]:
         """The entries as ``{(j, h): d}``, built on each access."""
-        return {(j, h): d for run in self._runs() for j, h, d in run}
+        return {(j, h): d for run in self._sector_entries() for j, h, d in run}
 
     def columns(self) -> tuple[Fraction, ...]:
         return tuple(sorted(self.col_hmax))
@@ -141,16 +213,19 @@ class CharSeries:
             raise KeyError(f"ghost column {jj} outside the computed window")
         if hh > bound:
             raise TruncationError(f"h={hh} above certified bound in column {jj}")
-        return self._sectors.get((jf, hf), {}).get((a, b), 0)
+        for lo, counts in self._sectors.get((jf, hf), {}).get(a, ()):
+            if 0 <= b - lo < len(counts):
+                return counts[b - lo]
+        return 0
 
     def entries(self) -> Iterator[tuple[Fraction, Fraction, int]]:
         # sectors never share a weight, so the sorted runs merge without ties
-        yield from heapq.merge(*self._runs())
+        yield from heapq.merge(*self._sector_entries())
 
     def column_profile(self, j) -> dict[Fraction, int]:
         jf, a = _split(Fraction(j))
-        return {hf + b: d for (sf, hf), grid in self._sectors.items() if sf == jf
-                for (c, b), d in grid.items() if c == a}
+        return {hf + b: d for (sf, hf), cols in self._sectors.items() if sf == jf
+                for lo, counts in cols.get(a, ()) for b, d in enumerate(counts, lo)}
 
     def _common_region(self, other: "CharSeries") -> tuple[dict, dict, dict]:
         # the common certified region, column by column, and each side's entries in it
@@ -162,22 +237,29 @@ class CharSeries:
         return bounds, self._inside(bounds), other._inside(bounds)
 
     def _inside(self, bounds: dict[Fraction, dict[int, Fraction]]) -> dict:
-        # per sector, the entries in a column of ``bounds`` with ``h`` at or
-        # below its bound: one integer limit on ``b`` per column
+        # per sector, the runs of each column of ``bounds`` cut at its bound:
+        # one integer limit on ``b`` per column
         out = {}
-        for (jf, hf), grid in self._sectors.items():
+        for (jf, hf), cols in self._sectors.items():
             limits = _per_bound(bounds.get(jf, {}), lambda bound: math.floor(bound - hf))
-            if kept := {(a, b): d for (a, b), d in grid.items()
-                        if a in limits and b <= limits[a]}:
+            if kept := {a: cut for a, runs in cols.items()
+                        if a in limits and (cut := _cut(runs, limits[a]))}:
                 out[(jf, hf)] = kept
         return out
 
     def __add__(self, other: "CharSeries") -> "CharSeries":
         bounds, sectors, theirs = self._common_region(other)
-        for sector, grid in theirs.items():
+        for sector, cols in theirs.items():
             mine = sectors.setdefault(sector, {})
-            for key, d in grid.items():
-                mine[key] = mine.get(key, 0) + d
+            for a, runs in cols.items():
+                if a in mine:
+                    runs = _add_runs(mine[a], runs)
+                if runs:
+                    mine[a] = runs
+                else:
+                    del mine[a]
+            if not mine:
+                del sectors[sector]
         return CharSeries._from_sectors(bounds, sectors)
 
     def __eq__(self, other) -> bool:
@@ -189,7 +271,9 @@ class CharSeries:
         """Exact agreement on the intersection of certified regions, which
         must hold at least ``min_points`` of this series' entries."""
         _, mine, theirs = self._common_region(other)
-        return mine == theirs and sum(map(len, mine.values())) >= min_points
+        return mine == theirs and sum(
+            len(counts) for cols in mine.values() for runs in cols.values()
+            for _, counts in runs) >= min_points
 
 
 def _parse_window(jwindow) -> tuple[Fraction, Fraction]:
@@ -400,16 +484,6 @@ def _simple_character(layout: _Layout, rows: tuple[tuple[int, ...], ...]) -> dic
     return runs
 
 
-def _add_runs(x: tuple, y: tuple) -> tuple[int, list[int]]:
-    # the sum of two runs that end at the same b: add with their tops aligned
-    if x[0] > y[0]:
-        x, y = y, x
-    (lo, longer), (hi, shorter) = x, y
-    out = list(longer)
-    out[hi - lo:] = map(add, out[hi - lo:], shorter)
-    return lo, out
-
-
 def character(x, hmax=8, jwindow=(-6, 6)) -> CharSeries:
     """Character of a module or formal sum on the requested truncation."""
     jmin, jmax = _parse_window(jwindow)
@@ -419,24 +493,23 @@ def character(x, hmax=8, jwindow=(-6, 6)) -> CharSeries:
                for simple, k in composition_factors(x).items()]
     # one table for every factor, so its weight limit is checked before any build
     rows = free_monomial_counts(max((layout.weight for layout, _ in layouts), default=0))
-    # sector -> (column indices, column a -> run); the runs of a sector all
-    # end at its bmax, so the factors add column by column
+    # sector -> (column indices, column a -> runs); each column of a simple
+    # is one run ending at its sector's bmax, so the factors add column by
+    # column, tops aligned, and every column stays one run
     sectors: dict[tuple[int, int, int], tuple[range, dict]] = {}
     for layout, k in layouts:
-        runs = sectors.setdefault(layout.sector, (layout.cols, {}))[1]
+        columns = sectors.setdefault(layout.sector, (layout.cols, {}))[1]
         for a, (lo, counts) in _simple_character(layout, rows).items():
-            run = (lo, counts if k == 1 else [k * d for d in counts])
-            runs[a] = _add_runs(runs[a], run) if a in runs else run
-    bounds, grids = {}, {}
-    for (p, q, r), (cols, runs) in sectors.items():
-        jf, hf = Fraction(p, q), Fraction(r, q)
+            runs = ((lo, counts if k == 1 else tuple(k * d for d in counts)),)
+            columns[a] = _add_runs(columns[a], runs) if a in columns else runs
+    bounds, out = {}, {}
+    for (p, q, r), (cols, columns) in sectors.items():
+        jf = Fraction(p, q)
         if cols:
             bounds[jf] = dict.fromkeys(cols, hmax)
-        if runs:
-            grid = grids[(jf, hf)] = {}
-            for a, (lo, counts) in runs.items():
-                grid.update(zip(zip(repeat(a), range(lo, lo + len(counts))), counts))
-    return CharSeries._from_sectors(bounds, grids)
+        if columns:
+            out[(jf, Fraction(r, q))] = columns
+    return CharSeries._from_sectors(bounds, out)
 
 
 def char_flow(ch: CharSeries, ell: int) -> CharSeries:
@@ -454,10 +527,12 @@ def char_flow(ch: CharSeries, ell: int) -> CharSeries:
         moved = _per_bound(cols, lambda bound: bound + ell * jf - half)
         bounds[jf] = {a - ell: moved[a] + ell * a for a in cols}
     # (jf + a, hf + b) moves to (jf + a - ell, hf' + b + ell*a + k), where
-    # hf + ell*jf - ell(ell+1)/2 = hf' + k with hf' in [0, 1)
-    for (jf, hf), grid in ch._sectors.items():
+    # hf + ell*jf - ell(ell+1)/2 = hf' + k with hf' in [0, 1): each run of
+    # column a moves as a whole
+    for (jf, hf), cols in ch._sectors.items():
         hf_tgt, k = _split(hf + ell * jf - half)
-        sectors[(jf, hf_tgt)] = {(a - ell, b + ell * a + k): d for (a, b), d in grid.items()}
+        sectors[(jf, hf_tgt)] = {a - ell: tuple([(lo + ell * a + k, counts) for lo, counts in runs])
+                                 for a, runs in cols.items()}
     return CharSeries._from_sectors(bounds, sectors)
 
 
@@ -468,7 +543,7 @@ def char_dual(ch: CharSeries) -> CharSeries:
     for jf, cols in ch._bounds.items():
         jd, c = _split(1 - jf)
         bounds[jd] = {c - a: bound for a, bound in cols.items()}
-    for (jf, hf), grid in ch._sectors.items():
+    for (jf, hf), cols in ch._sectors.items():
         jd, c = _split(1 - jf)
-        sectors[(jd, hf)] = {(c - a, b): d for (a, b), d in grid.items()}
+        sectors[(jd, hf)] = {c - a: runs for a, runs in cols.items()}
     return CharSeries._from_sectors(bounds, sectors)

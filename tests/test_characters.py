@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import math
 import operator
+import time
 from fractions import Fraction
 
 import pytest
@@ -414,6 +415,38 @@ def test_series_keeps_its_own_column_bounds():
     assert series == CharSeries({F(0): F(2)}, {(F(0), F(1)): 3})
 
 
+def test_a_sparse_column_costs_nothing():
+    # two entries 10**9 apart in one column: a stored form that filled the
+    # gap would not finish
+    start = time.perf_counter()
+    ch = CharSeries({0: 10**9}, {(0, 0): 1, (0, 10**9): 1})
+    assert ch.coeffs == {(0, 0): 1, (0, 10**9): 1}
+    assert (ch.coeff(0, 0), ch.coeff(0, 1), ch.coeff(0, 10**9 - 1), ch.coeff(0, 10**9)) == (1, 0, 0, 1)
+    assert list(ch.entries()) == [(0, 0, 1), (0, 10**9, 1)]
+    assert (ch + ch).coeffs == {(0, 0): 2, (0, 10**9): 2}
+    assert ch.agrees_with(CharSeries({0: 10**9}, {(0, 0): 1, (0, 10**9): 1}), min_points=2)
+    for ell in (-2, 1, 3):
+        moved = char_flow(ch, ell)
+        assert moved.coeffs == {flow_weight(weight(j, h), ell): d for (j, h), d in ch.coeffs.items()}
+        assert char_flow(moved, -ell) == ch
+    assert char_dual(ch).coeffs == {(1, 0): 1, (1, 10**9): 1}
+    assert char_dual(char_dual(ch)) == ch
+    assert time.perf_counter() - start < 1
+
+
+def test_a_zero_count_is_not_an_entry():
+    empty = CharSeries({0: 5}, {})
+    assert CharSeries({0: 5}, {(0, 1): 0}) == empty
+    assert CharSeries({0: 5}, {(0, 1): 0}).coeffs == {}
+    a = CharSeries({0: 5}, {(0, 1): 2, (0, 2): 3})
+    total = a + CharSeries({0: 5}, {(0, 1): -2, (0, 2): -3})
+    assert total == empty and total.coeffs == {} and total._sectors == {}
+    assert total.coeff(0, 1) == 0
+    # a sum that cancels inside a run splits it in two
+    b = CharSeries({0: 5}, {(0, 1): 1, (0, 2): 1, (0, 3): 1})
+    assert b + CharSeries({0: 5}, {(0, 2): -1}) == CharSeries({0: 5}, {(0, 1): 1, (0, 3): 1})
+
+
 def _split(x):
     n = math.floor(x)
     return x - n, n
@@ -525,7 +558,15 @@ def _oracle_pairs():
     for col_hmax, coeffs in (                          # the public constructor
             ({0: 2, 1: 5, F(1, 3): F(7, 2)}, {(0, 1): 3, (1, 4): 1, (F(1, 3), F(4, 3)): 2}),
             ({F(0): F(3), F(1, 3): F(5, 2), F(4, 3): 6},
-             {(0, 1): 3, (F(1, 3), F(1, 3)): 1, (F(1, 3), F(7, 3)): 4, (F(4, 3), 2): 5})):
+             {(0, 1): 3, (F(1, 3), F(1, 3)): 1, (F(1, 3), F(7, 3)): 4, (F(4, 3), 2): 5}),
+            # gaps inside columns 0 and 1/3, so a column holds several runs
+            ({0: 9, 1: 9, F(1, 3): F(20, 3)},
+             {(0, 0): 1, (0, 1): 2, (0, 4): 3, (0, 5): 1, (0, 8): 2, (1, 2): 1,
+              (F(1, 3), F(1, 3)): 2, (F(1, 3), F(10, 3)): 1, (F(1, 3), F(13, 3)): 6}),
+            # columns starting at different h, one run each
+            ({-1: 8, 0: 8, 1: 8, F(1, 3): 7},
+             {**{(0, h): h + 1 for h in range(9)}, **{(1, h): 2 for h in range(3, 9)},
+              **{(-1, h): 5 for h in range(6, 9)}, (F(1, 3), F(4, 3)): 3})):
         pairs.append((CharSeries(col_hmax, coeffs), FractionKeyedSeries(col_hmax, coeffs)))
     return pairs
 
