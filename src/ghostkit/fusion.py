@@ -32,9 +32,10 @@ under its own key with both flows set to 0, and builds the two base-flow
 labels only when that product is not cached either.  The cached products
 share their labels: one table, ``_LABELS``, holds one label per identity
 key, so equal terms of different products are one object and compare by
-identity.  A base product's labels are replaced by the table's, and a flowed
-miss looks each label up under its base label's key with the flow moved,
-flowing the base label only when the table lacks it.  The cache is bounded
+identity.  Every stored product takes its labels from the table in one
+step: each label of the base product is looked up under its key with the
+flow moved by the pair's total flow (0 for a base pair), and is entered,
+flowed by that total, only when the table lacks it.  The cache is bounded
 by what it holds, one for each product and one for each of its terms, and
 is emptied, with the table, before a store would take that count above
 ``PAIR_CACHE_LIMIT``; the table holds only labels of cached products, so it
@@ -191,9 +192,10 @@ def _fuse_base(a: Module, b: Module) -> tuple[FormalSum, bool, ProjSum | None]:
 # would take the count above this limit.  One product of two length-1000
 # strings holds about 1,000 labels (about 243 KiB), so the limit bounds the
 # cache at about 130 MB.  ``_LABELS``, keyed by identity key, is emptied with
-# the cache and holds only labels of cached products, so it is bounded by the
-# same count.  The fusion suite ends at 40,611 products holding 227,060, with
-# 792 labels in the table, and no benchmark workload comes near the limit.
+# the cache and every stored product takes its labels from it, so it holds
+# only labels of cached products and is bounded by the same count.  The
+# fusion suite ends at 42,646 products holding 238,767, with 897 labels in
+# the table, and no benchmark workload comes near the limit.
 PAIR_CACHE_LIMIT = 1 << 19
 _PAIR_CACHE: dict[tuple, tuple[FormalSum, bool, ProjSum | None]] = {}
 _PAIR_HELD = 0  # the count of what _PAIR_CACHE holds, as above
@@ -212,6 +214,7 @@ def _fuse_modules(a: Module, b: Module) -> tuple[FormalSum, bool, ProjSum | None
     if hit is not None:
         return hit
     fa, fb = ia[-1], ib[-1]
+    shift = fa + fb
     if fa or fb:
         # The base pair's key is this key with both flows set to 0, still in
         # order; its labels are built only when it is not cached.
@@ -219,10 +222,8 @@ def _fuse_modules(a: Module, b: Module) -> tuple[FormalSum, bool, ProjSum | None
         if base is None:
             base = _fuse_modules(a.flowed(-fa), b.flowed(-fb))
         total, guard, s = base
-        shift = fa + fb
     else:
         total, guard, s = _fuse_base(a, b)
-        shift = None
     held = 1 + len(total.terms)
     # emptied before this product's labels enter the table, so that the
     # table holds only labels of cached products
@@ -230,22 +231,20 @@ def _fuse_modules(a: Module, b: Module) -> tuple[FormalSum, bool, ProjSum | None
         _PAIR_CACHE.clear()
         _LABELS.clear()
         _PAIR_HELD = 0
-    if shift is None:
-        total = FormalSum._from_sorted(
-            tuple([(_LABELS.setdefault(m._id, m), k) for m, k in total.terms]))
-    elif shift:
-        # each label is looked up under its base label's identity key with
-        # the flow moved, and flowed only when the table lacks it
-        terms = []
-        for m, k in total.terms:
-            i = m._id
+    # each label is looked up under its identity key, the flow moved by a
+    # nonzero shift, and built only when the table lacks it
+    terms = []
+    for m, k in total.terms:
+        i = m._id
+        if shift:
             i = i[:-1] + (i[-1] + shift,)
-            label = _LABELS.get(i)
-            if label is None:
-                label = _LABELS[i] = m.flowed(shift)
-            terms.append((label, k))
-        total = FormalSum._from_sorted(tuple(terms))
-        s = None if s is None else ProjSum(s.m, s.n, s.k + shift)
+        label = _LABELS.get(i)
+        if label is None:
+            label = _LABELS[i] = m.flowed(shift) if shift else m
+        terms.append((label, k))
+    total = FormalSum._from_sorted(tuple(terms))
+    if shift and s is not None:
+        s = ProjSum(s.m, s.n, s.k + shift)
     out = (total, guard, s)
     _PAIR_CACHE[key] = out
     _PAIR_HELD += held

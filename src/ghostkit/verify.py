@@ -161,9 +161,23 @@ def fusion_suite(cfg: Config | None = None) -> list[Check]:
         return lambda m, n: _nonproj(fuse(omega(m), n)) == FormalSum(
             [(omega(t), k) for t, k in _nonproj(products[(m, n)])])
 
+    # rigidity makes - x B left adjoint to - x B^v with B^v = dual_tensor(B)
+    # (Etingof-Gelaki-Nikshych-Ostrik, Tensor Categories, 2.10), and fusion
+    # is exact, so Hom and Ext out of A x B match those into C x B^v; every
+    # ordered pair (A, B) against a fixed slice of the pool as C
+    duals = {mod: dual_tensor(mod) for mod in pool}
+    targets = pool[::17]
+    adjoints = {(c, b): fuse(c, duals[b]) for c in targets for b in pool}
+
+    def adjunction(name, dim):
+        return _check(f"{name} adjunction", itertools.product(pool, pool, targets),
+                      lambda a, b, c: dim(products[(a, b)], c) == dim(a, adjoints[(c, b)]),
+                      f"{name}(A x B, C) = {name}(A, C x B^v), ordered pairs (A, B), "
+                      f"{len(targets)} modules C")
+
     def rigidity_trace(mod):
         unit = vac(0) if isinstance(mod, Vac) else proj(0)
-        return fuse(dual_tensor(mod), mod) == FormalSum.of(unit)
+        return fuse(duals[mod], mod) == FormalSum.of(unit)
 
     return [
         _check("commutativity", pairs, lambda a, b: products[(a, b)] == fuse(b, a),
@@ -193,6 +207,11 @@ def fusion_suite(cfg: Config | None = None) -> list[Check]:
         _check("projective sum totals",
                ((m, n) for m in range(1, 13) for n in range(1, 13)),
                lambda m, n: expand_projsum(m, n, 0).total() == m * n, "m, n <= 12"),
+        adjunction("Hom", homalg.hom_dim),
+        adjunction("Ext", homalg.ext_dim),
+        _check("tensor dual is monoidal", pairs,
+               lambda a, b: dual_tensor(products[(a, b)]) == fuse(duals[a], duals[b]),
+               "(A x B)^v = A^v x B^v, unordered pairs"),
         _check("rigidity trace on simples",
                ((mod,) for mod in pool if is_simple(mod)), rigidity_trace),
     ]

@@ -55,7 +55,8 @@ CRITERION_CHECKS = {
                        "flow transform", "dual transform")),
     8: ("numerics", ("hypergeometric and beta identities",
                      "rigidity constant non-vanishing")),
-    9: ("fusion", ("rigidity trace on simples",)),
+    9: ("fusion", ("rigidity trace on simples", "Hom adjunction", "Ext adjunction",
+                   "tensor dual is monoidal")),
 }
 
 

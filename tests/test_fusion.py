@@ -445,6 +445,18 @@ def test_label_table_is_bounded_by_the_pair_cache(monkeypatch):
             assert fusion._LABELS[m._id] is m
 
 
+def test_cancelled_flows_take_their_labels_from_the_table(monkeypatch):
+    _fresh_caches(monkeypatch)
+    fuse(bstr(3, 0), bstr(3, 0))
+    # the next store empties the cache and the table, but B[3,5] x B[3,-5]
+    # still finds its base product, fetched before the store
+    monkeypatch.setattr(fusion, "PAIR_CACHE_LIMIT", fusion._PAIR_HELD + 1)
+    fuse(bstr(3, 5), bstr(3, -5))
+    for total, _, _ in fusion._PAIR_CACHE.values():
+        for m, _ in total.terms:
+            assert fusion._LABELS.get(m._id) is m, m
+
+
 def test_label_table_is_emptied_with_the_pair_cache(monkeypatch):
     pool = pool_modules(3, 1)
     pairs = [(a, b) for a in pool for b in pool]
