@@ -38,7 +38,6 @@ projective and injective:
 The cover ``P0`` has one ``P[l]`` per head factor ``V[l]`` of ``M``, and
 ``hom(P[l], N) = [N : V[l]]``, so the middle term is read from labels as
 ``sum over the head (V[l], k) of M of k * [N : V[l]]``; no cover is built.
-A simple or string ``N`` has each flow of its span as a factor exactly once.
 
 The support rule: the vacuum block is the quiver with vertices ``l`` and
 arrows ``l -> l+1`` and ``l -> l-1`` (``P[l]`` is the diamond with
@@ -50,19 +49,20 @@ label is ``(l, l)`` for ``V[l]`` and ``W[c,l]``, ``(m, m+n-1)`` for
 two labels are more than 1 apart, both Hom and Ext are 0 before any other
 rule is applied.
 
-The presentation kernels and cokernels are pinned by exactness: the
-composition factors of the cover must equal those of the module plus those
-of the kernel, and dually for hulls.  This balance requirement fixes the
-flow subscripts of the odd-length entries (``verify``'s ``presentation
-balance`` check, criterion 6, enforces it for every module in the
-verification pool).
+The vacuum block is the zigzag algebra of type A-infinity-infinity, whose
+strings are the ``B`` and ``T`` modules.  One rule, ``_syzygy``, gives the
+kernel of the cover (``row`` 0) and the cokernel of the hull (``row`` 1) of
+a simple or string: each end in row ``row`` moves out by one flow, each
+other end moves in by one, and every end keeps its row, so the result is a
+``T`` when its base factor is in the top row.  ``V[l]``'s one factor is in
+both rows: its kernel is ``T[3,l-1]`` and its cokernel ``B[3,l-1]``.
 """
 
 from __future__ import annotations
 
 from .modules import (
     BStr, ExactSequence, FormalSum, Module, Proj, TStr, Typ, Vac, _flows, _row_sum, _span,
-    _tops, as_sum, bstr, is_projective,
+    _tops, as_sum, is_projective,
 )
 
 
@@ -128,29 +128,29 @@ def injective_hull(x) -> FormalSum:
     return _row_sum(x, 1, Proj)
 
 
+def _syzygy(mod: Module, row: int) -> Module:
+    """Kernel of the cover (``row`` 0) or cokernel of the hull (``row`` 1)."""
+    (lo, hi), tops = _span(mod), _tops(mod)
+    # an end is in row `row` when its parity, flipped for row 1, is a
+    # top-row parity; a simple's one factor is in both rows
+    out_lo, out_hi = (lo % 2 ^ row) in tops, (hi % 2 ^ row) in tops
+    lo, hi = (lo - 1 if out_lo else lo + 1), (hi + 1 if out_hi else hi - 1)
+    # the base end is in the top row if it left row 0 or came in from row 1
+    return Vac(lo) if lo == hi else (TStr if out_lo != row else BStr)(hi - lo + 1, lo)
+
+
 def presentation_kernel(mod: Module) -> Module:
     """Kernel of the projective cover map ``P0 ->> mod``."""
     if is_projective(mod):
         raise ValueError(f"{mod} is projective; its presentation is trivial")
-    n = 1 if isinstance(mod, Vac) else mod.n
-    if isinstance(mod, BStr):
-        if n % 2:
-            return bstr(n - 2, mod.m + 1)
-        return BStr(n, mod.m + 1)
-    # T[n,m], with V[l] read as the string T[1,l]: its odd rule then gives
-    # rad P[l], the wedge with socle V[l] and head V[l-1], V[l+1]
-    if n % 2:
-        return TStr(n + 2, mod.flow - 1)
-    return TStr(n, mod.flow - 1)
+    return _syzygy(mod, 0)
 
 
 def presentation_cokernel(mod: Module) -> Module:
-    """Cokernel of the injective hull embedding ``mod -> I0``.  The star dual
-    is exact, contravariant and fixes projectives, so it turns the cover of
-    ``mod.starred()`` into the hull of ``mod``."""
+    """Cokernel of the injective hull embedding ``mod -> I0``."""
     if is_projective(mod):
         raise ValueError(f"{mod} is injective; its presentation is trivial")
-    return presentation_kernel(mod.starred()).starred()
+    return _syzygy(mod, 1)
 
 
 def _cover_hom(m: Module, n: Module) -> int:

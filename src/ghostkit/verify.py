@@ -21,8 +21,8 @@ from .config import Config
 from .functors import conjugate, dual_restricted, dual_star, dual_tensor, flow
 from .fusion import expand_projsum, fuse, fuse_detailed, groth_class, groth_product
 from .modules import (
-    BStr, FormalSum, Module, Proj, TStr, Vac, bstr, composition_factors,
-    is_projective, is_simple, proj, sequence_catalog, tstr, typ, vac,
+    BStr, FormalSum, Module, Proj, TStr, Vac, bstr, composition_factors, head,
+    is_projective, is_simple, proj, sequence_catalog, socle, tstr, typ, vac,
 )
 from .weights import coset
 
@@ -175,6 +175,11 @@ def fusion_suite(cfg: Config | None = None) -> list[Check]:
                       f"{name}(A x B, C) = {name}(A, C x B^v), ordered pairs (A, B), "
                       f"{len(targets)} modules C")
 
+    def twisted_monoidal(functor):
+        # conjugation and the restricted dual send the unit V[0] to V[-1], so
+        # they are monoidal only up to one flow
+        return lambda a, b: functor(products[(a, b)]) == flow(fuse(functor(a), functor(b)), 1)
+
     def rigidity_trace(mod):
         unit = vac(0) if isinstance(mod, Vac) else proj(0)
         return fuse(duals[mod], mod) == FormalSum.of(unit)
@@ -195,6 +200,10 @@ def fusion_suite(cfg: Config | None = None) -> list[Check]:
                ((mod, ell) for mod in pool for ell in range(-3, 4)),
                lambda mod, ell: conjugate(flow(mod, ell)) == flow(conjugate(mod), -ell),
                "|ell| <= 3"),
+        _check("conjugation is twisted monoidal", pairs, twisted_monoidal(conjugate),
+               "conj(A x B) = flow(conj(A) x conj(B), 1), unordered pairs"),
+        _check("restricted dual is twisted monoidal", pairs, twisted_monoidal(dual_restricted),
+               "the same for the restricted dual, unordered pairs"),
         _check("Grothendieck homomorphism", ordinary, grothendieck, "ordinary pairs"),
         _check("Grothendieck homomorphism, guard-extended", guarded, grothendieck,
                "guard-extended pairs"),
@@ -217,10 +226,6 @@ def fusion_suite(cfg: Config | None = None) -> list[Check]:
     ]
 
 
-def _delta(i: int, j: int) -> int:
-    return 1 if i == j else 0
-
-
 def _short_kind(m: Module) -> tuple[str | None, int]:
     # (family, flow) in the four short families, else (None, 0)
     if isinstance(m, Vac):
@@ -234,45 +239,38 @@ def _short_kind(m: Module) -> tuple[str | None, int]:
     return None, 0
 
 
+# The paper's tables, (row family, column family) -> {row flow - column
+# flow: dimension}; every other flow offset has dimension 0.
+_HOM_TABLE = {
+    ("V", "V"): {0: 1}, ("V", "T2"): {1: 1}, ("V", "B2"): {0: 1}, ("V", "P"): {0: 1},
+    ("T2", "V"): {0: 1}, ("T2", "T2"): {0: 1, 1: 1}, ("T2", "B2"): {0: 1},
+    ("T2", "P"): {-1: 1, 0: 1},
+    ("B2", "V"): {-1: 1}, ("B2", "T2"): {0: 1}, ("B2", "B2"): {-1: 1, 0: 1},
+    ("B2", "P"): {-1: 1, 0: 1},
+    ("P", "V"): {0: 1}, ("P", "T2"): {0: 1, 1: 1}, ("P", "B2"): {0: 1, 1: 1},
+    ("P", "P"): {-1: 1, 0: 2, 1: 1},
+}
+_EXT_TABLE = {
+    ("V", "V"): {-1: 1, 1: 1}, ("V", "T2"): {2: 1}, ("V", "B2"): {-1: 1},
+    ("T2", "V"): {1: 1}, ("T2", "T2"): {1: 1, 2: 1}, ("T2", "B2"): {},
+    ("B2", "V"): {-2: 1}, ("B2", "T2"): {}, ("B2", "B2"): {-2: 1, -1: 1},
+}
+
+
+def _table_entry(table: dict, row: Module, col: Module) -> int | None:
+    (rk, n), (ck, m) = _short_kind(row), _short_kind(col)
+    dims = table.get((rk, ck))
+    return None if dims is None else dims.get(n - m, 0)
+
+
 def hom_table_expected(row: Module, col: Module) -> int | None:
     """Closed-form Hom dimensions for the four short families, by flow."""
-    (rk, n), (ck, m) = _short_kind(row), _short_kind(col)
-    table = {
-        ("V", "V"): _delta(n, m),
-        ("V", "T2"): _delta(n, m + 1),
-        ("V", "B2"): _delta(n, m),
-        ("V", "P"): _delta(n, m),
-        ("T2", "V"): _delta(n, m),
-        ("T2", "T2"): _delta(n, m) + _delta(n, m + 1),
-        ("T2", "B2"): _delta(n, m),
-        ("T2", "P"): _delta(n, m - 1) + _delta(n, m),
-        ("B2", "V"): _delta(n, m - 1),
-        ("B2", "T2"): _delta(n, m),
-        ("B2", "B2"): _delta(n, m - 1) + _delta(n, m),
-        ("B2", "P"): _delta(n, m - 1) + _delta(n, m),
-        ("P", "V"): _delta(n, m),
-        ("P", "T2"): _delta(n, m) + _delta(n, m + 1),
-        ("P", "B2"): _delta(n, m) + _delta(n, m + 1),
-        ("P", "P"): _delta(n, m - 1) + 2 * _delta(n, m) + _delta(n, m + 1),
-    }
-    return table.get((rk, ck))
+    return _table_entry(_HOM_TABLE, row, col)
 
 
 def ext_table_expected(row: Module, col: Module) -> int | None:
     """Closed-form Ext dimensions for the three non-projective short families."""
-    (rk, n), (ck, m) = _short_kind(row), _short_kind(col)
-    table = {
-        ("V", "V"): _delta(n, m - 1) + _delta(n, m + 1),
-        ("V", "T2"): _delta(n, m + 2),
-        ("V", "B2"): _delta(n, m - 1),
-        ("T2", "V"): _delta(n, m + 1),
-        ("T2", "T2"): _delta(n, m + 1) + _delta(n, m + 2),
-        ("T2", "B2"): 0,
-        ("B2", "V"): _delta(n, m - 2),
-        ("B2", "T2"): 0,
-        ("B2", "B2"): _delta(n, m - 2) + _delta(n, m - 1),
-    }
-    return table.get((rk, ck))
+    return _table_entry(_EXT_TABLE, row, col)
 
 
 def _short_family(flow_idx: int) -> list[Module]:
@@ -324,6 +322,7 @@ def homalg_suite(cfg: Config | None = None) -> list[Check]:
     pool = _pool(cfg)
     catalog = sequence_catalog(cfg.catalog_bound)
     probes = [m for m in pool if is_projective(m)]
+    simples = [m for m in pool if is_simple(m)]
     relaxed = typ(Fraction(1, 3), 1)
     rng = random.Random(7)
     sample = rng.sample(pool, min(len(pool), 25))
@@ -363,6 +362,10 @@ def homalg_suite(cfg: Config | None = None) -> list[Check]:
         _check("ext against a relaxed simple vanishes",
                itertools.chain(((relaxed, m, 0) for m in pool), ((m, relaxed, 0) for m in pool)),
                ext_is, f"{relaxed} against every pool module, both sides"),
+        _check("socle/head identity", itertools.product(simples, pool),
+               lambda s, m: homalg.hom_dim(s, m) == socle(m).multiplicity(s)
+               and homalg.hom_dim(m, s) == head(m).multiplicity(s),
+               "hom(S, M) = [socle M : S] and hom(M, S) = [head M : S], S simple"),
         _check("covers and hulls", _cover_hull_cases(),
                lambda side, mod, want: _PRESENTATIONS[side][0](mod) == want,
                "k <= 4, m in {-2, 0, 3}"),

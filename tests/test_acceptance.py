@@ -39,7 +39,8 @@ CRITERION_CHECKS = {
     2: ("fusion", ("commutativity", "associativity")),
     3: ("fusion", ("flow compatibility", "star-dual compatibility",
                    "conjugation-flow compatibility", "syzygy commutes with fusion",
-                   "cosyzygy commutes with fusion")),
+                   "cosyzygy commutes with fusion", "conjugation is twisted monoidal",
+                   "restricted dual is twisted monoidal")),
     4: ("fusion", ("Grothendieck homomorphism",
                    "Grothendieck homomorphism, guard-extended", "ring character",
                    "projective sum totals")),
@@ -50,7 +51,7 @@ CRITERION_CHECKS = {
     # bottom-anchored strings, and the dual flows on the rest)
     6: ("homalg", ("catalog factor balance", "Euler characteristic vs projective probes",
                    "presentation balance", "Ext2 by dimension shifting",
-                   "duality and flow symmetry of hom/ext")),
+                   "duality and flow symmetry of hom/ext", "socle/head identity")),
     7: ("characters", ("oracle agreement", "additivity on the catalog",
                        "flow transform", "dual transform")),
     8: ("numerics", ("hypergeometric and beta identities",

@@ -11,7 +11,7 @@ from ghostkit.homalg import (
     presentation_kernel, projective_cover,
 )
 from ghostkit.modules import (
-    BOTTOM, TOP, FormalSum, Typ, Vac, bstr, composition_factors, head, is_projective,
+    BOTTOM, TOP, BStr, FormalSum, TStr, Typ, Vac, bstr, composition_factors, head, is_projective,
     proj, sequence_catalog, socle, tstr, typ, vac,
 )
 from ghostkit.verify import ext_table_expected, hom_table_expected, pool_modules
@@ -261,6 +261,36 @@ def test_presentation_balance_everywhere():
         coker = presentation_cokernel(mod)
         assert composition_factors(hull) == composition_factors(
             FormalSum.of(mod) + FormalSum.of(coker)), mod
+
+
+def letter_rule_kernel(mod):
+    """The presentation kernel by letter and length parity: the test oracle
+    of ``homalg``'s one end-moving rule."""
+    n = 1 if isinstance(mod, Vac) else mod.n
+    if isinstance(mod, BStr):
+        return bstr(n - 2, mod.m + 1) if n % 2 else BStr(n, mod.m + 1)
+    # T[n,m], with V[l] read as the string T[1,l]: its odd rule then gives
+    # rad P[l], the wedge with socle V[l] and head V[l-1], V[l+1]
+    return TStr(n + 2 if n % 2 else n, mod.flow - 1)
+
+
+def letter_rule_cokernel(mod):
+    # the star dual is exact, contravariant and fixes projectives, so it
+    # turns the cover of mod's star dual into the hull of mod
+    return letter_rule_kernel(mod.starred()).starred()
+
+
+# every B[n,m] and T[n,m] with n <= 60 and |m| <= 30 (each V[m] twice), and
+# three labels at the longest lengths the grammar accepts
+RULE_LABELS = [mk(n, m) for mk in (bstr, tstr) for n in range(1, 61) for m in range(-30, 31)]
+RULE_LABELS += [bstr(1000, 3), tstr(999, -4), tstr(1000, 0)]
+
+
+def test_syzygy_rule_agrees_with_the_letter_rule():
+    assert len(RULE_LABELS) == 7323
+    for mod in RULE_LABELS:
+        assert presentation_kernel(mod) == letter_rule_kernel(mod), mod
+        assert presentation_cokernel(mod) == letter_rule_cokernel(mod), mod
 
 
 def test_presentations_are_dual_to_each_other():
