@@ -418,62 +418,55 @@ def pbw_character_oracle(mod: Module, hmax, jwindow) -> CharSeries:
     return CharSeries(bounds, coeffs)
 
 
-# where the columns of a flowed simple lie, and the table weight they need
+# where the columns of a flowed vacuum or relaxed module lie, and the table
+# weight they need
 _Layout = namedtuple("_Layout", "vacuum ell sector cols off0 bmax weight")
 
 
-def _layout(simple: Module, hmax: Fraction, jmin: Fraction, jmax: Fraction,
-            vacuum: tuple[range, int]) -> _Layout:
-    """Where the columns of ``simple = flow(base, ell)`` lie, ``base`` at flow 0.
+def _layout(vacuum: bool, coset: Fraction | int, ell: int, hmax: Fraction,
+            jmin: Fraction, jmax: Fraction, integral: tuple[range, int]) -> _Layout:
+    """Where the columns of ``flow(base, ell)`` lie, ``base`` the vacuum or
+    the relaxed module of coset ``coset`` (``0`` for the vacuum) at flow 0.
 
     A state of weight ``(j', h')`` in ``base`` appears at
     ``(j' - ell, h' + ell*j' - ell(ell+1)/2)`` after flowing, so the target
     column ``j`` is fed by source column ``j + ell`` with the conformal
-    weight shifted by a per-column offset.  All weights of ``simple`` share
-    their fractional parts ``(jf, hf)``, its sector: ``0`` for the vacuum,
-    ``(c, ell*c mod 1)`` for the relaxed module of coset ``c``; the integer
-    key ``(a, b)`` stands for the weight ``(jf + a, hf + b)``, ``(p, q, r)`` for
-    the sector ``(p/q, r/q)``; ``vacuum`` is the vacuum sector's ``(cols, bmax)``.
-    """
-    ell = simple.flow
+    weight shifted by a per-column offset.  All its weights share their
+    fractional parts ``(jf, hf) = (coset, ell*coset mod 1)``, its sector; the
+    integer key ``(a, b)`` stands for the weight ``(jf + a, hf + b)``,
+    ``(p, q, r)`` for the sector ``(p/q, r/q)``; ``integral`` is the coset-0
+    sector's ``(cols, bmax)``."""
+    p, q = coset.numerator, coset.denominator
     # Column a has source column jf + a + ell and offset hf + off0 + ell*a,
     # so source weight h' lands at b = h' + off0 + ell*a, and b <= bmax.
-    off0 = ell * (ell - 1) // 2
-    if isinstance(simple, Vac):
-        sector, (cols, bmax) = (0, 1, 0), vacuum
-    else:
-        jf = simple.coset
-        p, q = jf.numerator, jf.denominator
-        sector = (p, q, ell * p % q)
-        cols = range(math.ceil(jmin - jf), math.floor(jmax - jf) + 1)
-        off0 += ell * p // q
+    off0 = ell * (ell - 1) // 2 + ell * p // q
+    sector = (p, q, ell * p % q)
+    if p:
+        cols = range(math.ceil(jmin - coset), math.floor(jmax - coset) + 1)
         bmax = math.floor(hmax - Fraction(sector[2], q))
+    else:
+        cols, bmax = integral
     ends = (cols[0], cols[-1]) if cols else ()
     needed = max((bmax - off0 - ell * a for a in ends), default=0)
-    return _Layout(sector[0] == 0, ell, sector, cols, off0, bmax, max(needed, 0))
+    return _Layout(vacuum, ell, sector, cols, off0, bmax, max(needed, 0))
 
 
 def _simple_character(layout: _Layout, rows: tuple[tuple[int, ...], ...]) -> dict:
-    """The nonempty columns of the simple laid out by :func:`_layout`, each
+    """The nonempty columns of the module laid out by :func:`_layout`, each
     as a run ``a -> (lowest b, counts)`` of nonzero entries ending at
     ``bmax``, read from a table (:data:`_SUFFIX` layout) of at least the
     weight it needs."""
     vacuum, ell, _, cols, off0, bmax, _ = layout
     top = len(rows) // 2
     runs = {}
-    # column a reads source weights 0..n-1; a relaxed column reads the totals
-    if not vacuum:
-        for a in cols:
-            off = off0 + ell * a
-            if (n := bmax - off + 1) > 0:
-                runs[a] = (off, rows[0][:n])
-        return runs
+    # column a reads the charges >= g = a + g0 at source weights 0..n-1,
+    # nonzero from weight g on when g >= 0; rows below charge -top read as
+    # row 0, the totals, which every relaxed column reads
+    g0 = ell if vacuum else -top - cols.stop
     for a in cols:
         off = off0 + ell * a
         n = bmax - off + 1
-        # a vacuum column reads the charges >= g, nonzero from weight g on
-        # when g >= 0; rows below charge -top read as row 0
-        g = a + ell
+        g = a + g0
         if 0 <= g < n:
             runs[a] = (g + off, rows[g + top][g:n])
         elif g < 0 < n:
@@ -481,13 +474,8 @@ def _simple_character(layout: _Layout, rows: tuple[tuple[int, ...], ...]) -> dic
     return runs
 
 
-def character(x, hmax=8, jwindow=(-6, 6)) -> CharSeries:
-    """Character of a module or formal sum on the requested truncation."""
-    jmin, jmax = _parse_window(jwindow)
-    hmax = Fraction(hmax)
-    vacuum = range(math.ceil(jmin), math.floor(jmax) + 1), math.floor(hmax)
-    layouts = [(_layout(simple, hmax, jmin, jmax, vacuum), k)
-               for simple, k in composition_factors(x).items()]
+def _series(layouts: list[tuple[_Layout, int]], hmax: Fraction) -> CharSeries:
+    """The character of the sum of ``k`` times each ``layout``'s module."""
     # one table for every factor, so its weight limit is checked before any build
     rows = free_monomial_counts(max((layout.weight for layout, _ in layouts), default=0))
     # sector -> (column indices, column a -> runs); each column of a simple
@@ -507,6 +495,17 @@ def character(x, hmax=8, jwindow=(-6, 6)) -> CharSeries:
         if columns:
             out[(jf, Fraction(r, q))] = columns
     return CharSeries._from_sectors(bounds, out)
+
+
+def character(x, hmax=8, jwindow=(-6, 6)) -> CharSeries:
+    """Character of a module or formal sum on the requested truncation."""
+    jmin, jmax = _parse_window(jwindow)
+    hmax = Fraction(hmax)
+    integral = range(math.ceil(jmin), math.floor(jmax) + 1), math.floor(hmax)
+    return _series([(_layout(True, 0, simple.ell, hmax, jmin, jmax, integral)
+                     if isinstance(simple, Vac) else
+                     _layout(False, simple.coset, simple.ell, hmax, jmin, jmax, integral), k)
+                    for simple, k in composition_factors(x).items()], hmax)
 
 
 def char_flow(ch: CharSeries, ell: int) -> CharSeries:

@@ -38,17 +38,12 @@ def flow(x, ell: int):
 
 
 conjugate = _lift(methodcaller("conjugated"))
+# conjugation composed with the restricted dual: fixes every simple and
+# staggered label and swaps B[n,m] <-> T[n,m]
+dual_star = _lift(methodcaller("starred"))
 # conjugation is an involution, so the restricted dual is conjugation
 # composed with the star dual
 dual_restricted = _lift(lambda mod: mod.starred().conjugated())
-
-
-def dual_star(x):
-    """Conjugation composed with the restricted dual.  Fixes every simple
-    and staggered label and swaps ``B[n,m] <-> T[n,m]``."""
-    if isinstance(x, FormalSum):
-        return x.map_modules(methodcaller("starred"))
-    return x.starred()
 
 
 def dual_tensor(x):

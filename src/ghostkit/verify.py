@@ -9,14 +9,13 @@ acceptance tests assert on their results.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import random
 from fractions import Fraction
 from typing import NamedTuple
 
-from . import characters, homalg, rigidity
+from . import characters, fusion, homalg, rigidity
 from .config import Config
 from .functors import conjugate, dual_restricted, dual_star, dual_tensor, flow
 from .fusion import expand_projsum, fuse, fuse_detailed, groth_class, groth_product
@@ -59,13 +58,14 @@ def _check(name: str, cases, holds, detail: str = "") -> Check:
 
 
 # The largest pool bounds.  Associativity grows cubically in the pool: at
-# (8, 4) the fusion suite takes 12 s and 430 MB, 3x its cost at (7, 3).
+# (8, 4) the fusion suite takes 21 s and 73 MB, against 6 s and 44 MB at
+# (7, 3) (Python 3.11, a shared 2-core VM, one run each).
 MAX_POOL_LENGTH = 8
 MAX_POOL_FLOW = 4
 # The most cosets a pool may list; each adds one relaxed simple per flow.
-# At (8, 4) six cosets give 198 modules, and the fusion suite took 47 s and
-# 645 MB peak RSS, against 31 s and 433 MB for the 171 modules of the
-# default three (Python 3.11, a 2-core VM under load, one run each).
+# At (8, 4) six cosets give 198 modules, and the fusion suite took 23 s and
+# 92 MB peak RSS, against 21 s and 73 MB for the 171 modules of the
+# default three (Python 3.11, a shared 2-core VM, one run each).
 MAX_POOL_COSETS = 6
 
 
@@ -132,18 +132,37 @@ def _nonproj(x) -> FormalSum:
     return FormalSum([(m, k) for m, k in x if not is_projective(m)])
 
 
+def _flow_class(x: FormalSum) -> tuple[FormalSum, int]:
+    """``x`` as ``(flow(x, -f), f)`` with ``f`` the flow of its first term.
+    Flowing a sum keeps its term order, so the first part is one sum per
+    flow class, and two sums are equal exactly when their pairs are."""
+    f = x.terms[0][0].flow
+    return (x.flowed(-f) if f else x), f
+
+
 def fusion_suite(cfg: Config | None = None) -> list[Check]:
     pool = _pool(cfg or Config())
     pairs = list(itertools.combinations_with_replacement(pool, 2))
     products: dict[tuple[Module, Module], FormalSum] = {}
+    classes: dict[tuple[Module, Module], tuple[FormalSum, int]] = {}
     ordinary, guarded = [], []
     for a, b in pairs:
         res = fuse_detailed(a, b)
         products[(a, b)] = products[(b, a)] = res.total
+        classes[(a, b)] = classes[(b, a)] = _flow_class(res.total)
         (guarded if res.guard_extended else ordinary).append((a, b))
-    # associativity fuses each pair product with every third module; many
-    # triples share the same (product, module) step
-    fuse_step = functools.cache(fuse)
+    # associativity fuses each pair product with every third module.  Fusion
+    # is flow-equivariant, so a step is fused once per flow class of its
+    # product and module: (P, c) at flows p and k gives the class of
+    # fuse(P, c) with its flow moved by p + k
+    bases = {mod: (mod.flowed(-mod.flow), mod.flow) for mod in pool}
+    steps: dict[tuple[FormalSum, Module], tuple[FormalSum, int]] = {}
+
+    def fuse_step(pair, c):
+        (product, p), (base, k) = classes[pair], bases[c]
+        if (hit := steps.get((product, base))) is None:
+            hit = steps[(product, base)] = _flow_class(fuse(product, base))
+        return hit[0], hit[1] + p + k
 
     def grothendieck(a, b):
         return groth_class(products[(a, b)]) == groth_product(groth_class(a), groth_class(b))
@@ -188,7 +207,7 @@ def fusion_suite(cfg: Config | None = None) -> list[Check]:
         _check("commutativity", pairs, lambda a, b: products[(a, b)] == fuse(b, a),
                f"unordered pairs, {len(guarded)} guard-extended"),
         _check("associativity", itertools.combinations_with_replacement(pool, 3),
-               lambda a, b, c: fuse_step(products[(a, b)], c) == fuse_step(products[(b, c)], a),
+               lambda a, b, c: fuse_step((a, b), c) == fuse_step((b, c), a),
                "unordered triples"),
         _check("flow compatibility",
                ((a, b, k, l) for a, b in pairs for k, l in ((1, 0), (-2, 1), (3, -1))),
@@ -393,6 +412,17 @@ def homalg_suite(cfg: Config | None = None) -> list[Check]:
     ]
 
 
+def zero_coset_standard(ell: int, hmax: Fraction, window) -> bool:
+    """The ring's zero-coset standard module ``W_0^ell`` (Ridout-Wood,
+    arXiv:1408.4185), read from ``fusion._standard``, has the character of
+    the coset-0 relaxed layout, exactly."""
+    jmin, jmax = map(Fraction, window)
+    integral = range(math.ceil(jmin), math.floor(jmax) + 1), math.floor(hmax)
+    layout = characters._layout(False, 0, ell, hmax, jmin, jmax, integral)
+    factors = FormalSum((mod, 1) for mod in fusion._standard(0, ell))
+    return characters.character(factors, hmax, window) == characters._series([(layout, 1)], hmax)
+
+
 def characters_suite(cfg: Config | None = None) -> list[Check]:
     cfg = cfg or Config()
     hmax, window = cfg.hmax, cfg.jwindow
@@ -424,6 +454,9 @@ def characters_suite(cfg: Config | None = None) -> list[Check]:
                flow_agrees, "|ell| <= 3 on certified regions, >= 10 points each"),
         _check("dual transform", ((mod,) for mod in probe_mods), dual_agrees,
                ">= 10 points each"),
+        _check("zero-coset standard module", ((ell,) for ell in range(-6, 7)),
+               lambda ell: zero_coset_standard(ell, hmax, window),
+               "ch W_0^l = ch V[l] + ch V[l-1] exactly, |l| <= 6"),
     ]
 
 

@@ -53,7 +53,7 @@ CRITERION_CHECKS = {
                    "presentation balance", "Ext2 by dimension shifting",
                    "duality and flow symmetry of hom/ext", "socle/head identity")),
     7: ("characters", ("oracle agreement", "additivity on the catalog",
-                       "flow transform", "dual transform")),
+                       "flow transform", "dual transform", "zero-coset standard module")),
     8: ("numerics", ("hypergeometric and beta identities",
                      "rigidity constant non-vanishing")),
     9: ("fusion", ("rigidity trace on simples", "Hom adjunction", "Ext adjunction",

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from ghostkit import characters
+from ghostkit import characters, fusion
 from ghostkit.characters import (
     MAX_ORACLE_WEIGHT, MAX_TABLE_WEIGHT, MAX_WINDOW_WIDTH, CharSeries, TruncationError,
     _build_suffix_table, _enumerate_free_monomials, char_dual, char_flow, character, free_monomial_counts,
@@ -20,7 +20,7 @@ from ghostkit.grammar import parse_module_expr
 from ghostkit.modules import (
     bstr, composition_factors, proj, sequence_catalog, tstr, typ, vac,
 )
-from ghostkit.verify import characters_suite, pool_modules
+from ghostkit.verify import characters_suite, pool_modules, zero_coset_standard
 from ghostkit.weights import flow_weight, weight
 
 THIRD = Fraction(1, 3)
@@ -212,7 +212,8 @@ def test_column_reads_match_the_clamped_oracle():
         for hmax in (Fraction(0), Fraction(8), Fraction(30), Fraction(7, 2)):
             vacuum = range(math.ceil(jmin), math.floor(jmax) + 1), math.floor(hmax)
             for simple in simples:
-                layout = characters._layout(simple, hmax, jmin, jmax, vacuum)
+                coset = getattr(simple, "coset", 0)  # 0 for the vacuum
+                layout = characters._layout(not coset, coset, simple.ell, hmax, jmin, jmax, vacuum)
                 # a table of just the weight needed, and a deeper shared one
                 for top in (layout.weight, 80):
                     rows = _suffix_table(top)
@@ -221,6 +222,26 @@ def test_column_reads_match_the_clamped_oracle():
                     assert runs == oracle and list(runs) == list(oracle), (simple, hmax, window)
                 negative += layout.vacuum and any(a + layout.ell < 0 for a in runs)
     assert negative > 100
+
+
+def test_zero_coset_standard_module_on_a_wider_grid(monkeypatch):
+    grid = [(ell, hmax, window) for hmax in (Fraction(8), Fraction(15, 2), Fraction(20))
+            for window in ((-6, 6), (-9, 9), (2, 7), (-7, -3)) for ell in range(-6, 7)]
+    assert all(zero_coset_standard(*case) for case in grid)
+
+    def points(ell, hmax, window):
+        return len(character(parse_module_expr(f"V[{ell}] + V[{ell - 1}]"), hmax, window).coeffs)
+
+    # the standard-module half of a consistent ring mutant, W_0^l = V[l] + V[l+1],
+    # fails every case whose truncation holds a state, and the suite's check
+    # on every flow
+    monkeypatch.setattr(fusion, "_standard",
+                        lambda c, ell: (typ(c, ell),) if c else (vac(ell), vac(ell + 1)))
+    seen = [case for case in grid if points(*case)]
+    assert len(seen) > 130
+    assert not any(zero_coset_standard(*case) for case in seen)
+    check = {c.name: c for c in characters_suite()}["zero-coset standard module"]
+    assert not check.passed and check.cases == 13 and "13 failed" in check.detail
 
 
 def test_character_additivity_by_construction():
