@@ -57,7 +57,7 @@ CRITERION_CHECKS = {
     8: ("numerics", ("hypergeometric and beta identities",
                      "rigidity constant non-vanishing")),
     9: ("fusion", ("rigidity trace on simples", "Hom adjunction", "Ext adjunction",
-                   "tensor dual is monoidal")),
+                   "tensor dual is monoidal", "adjunction at full string length")),
 }
 
 

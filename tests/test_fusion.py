@@ -152,6 +152,30 @@ def test_strict_guards_raise():
         fuse(bstr(5, 0), bstr(4, 0))
 
 
+def test_strict_guards_raise_on_fresh_and_cached_pairs(monkeypatch):
+    # the guard flag is read with the pair product, whether the product is
+    # built by the call or read from the cache; alone and as one term pair
+    extended = (bstr(3, 0), bstr(4, 0))
+    left = FormalSum(((bstr(3, 0), 1), (vac(0), 1)))
+    right = FormalSum(((bstr(4, 0), 1), (tstr(5, 1), 2)))
+    key = (bstr(3, 0)._id, bstr(4, 0)._id)
+    for cached in (False, True):
+        for fn in (fuse, fuse_detailed):
+            for x, y in (extended, (left, right)):
+                _fresh_caches(monkeypatch)
+                if cached:
+                    fuse(*extended)  # a non-strict call caches the extended pair
+                    assert fusion._PAIR_CACHE[key][1]
+                with pytest.raises(GuardExtensionError, match=r"B\[3,0\] x B\[4,0\]"):
+                    fn(x, y, strict_guards=True)
+    # without the extended pair the same sums fuse in strict mode
+    for x, y in ((left, FormalSum.of(tstr(5, 1), 2)), (FormalSum.of(vac(0)), right)):
+        res = fuse_detailed(x, y)
+        assert not res.guard_extended
+        assert fuse(x, y, strict_guards=True) == res.total
+        assert fuse_detailed(x, y, strict_guards=True) == res
+
+
 def test_guard_extended_products_match_proven_length2_formulas():
     # products with a length-2 factor are known for every length; they land
     # in the guard-extended branch once the other factor is longer
@@ -494,3 +518,29 @@ def test_fusion_leaves_the_collector_settings_alone():
     for a, b in combinations_with_replacement(pool, 2):
         fuse(flow(a, 5), b)
     assert (gc.isenabled(), gc.get_threshold()) == (enabled, threshold)
+
+
+@pytest.mark.parametrize("limit", [None, 1000])
+def test_fuse_agrees_with_fuse_detailed(monkeypatch, limit):
+    # fuse runs fuse_detailed's loop without building a FusionResult; the
+    # caches fill from empty, and with a low limit they are emptied during
+    # the sweep
+    pool = pool_modules()
+    _fresh_caches(monkeypatch)
+    if limit is not None:
+        monkeypatch.setattr(fusion, "PAIR_CACHE_LIMIT", limit)
+    held = []
+    for a in pool:
+        for b in pool:
+            assert fuse(a, b) is fuse_detailed(a, b).total, (a, b)
+            held.append(fusion._PAIR_HELD)
+    rng = random.Random(32)
+    sums = []
+    for _ in range(300):
+        terms = [(rng.choice(pool), rng.randint(1, 3)) for _ in range(rng.randint(1, 4))]
+        sums.append(FormalSum(terms + [terms[0]]))  # a repeated label
+    for x, y in zip(sums, sums[1:] + sums[:1]):
+        assert fuse(x, y) == fuse_detailed(x, y).total, (x, y)
+        held.append(fusion._PAIR_HELD)
+    emptied = any(later < earlier for earlier, later in zip(held, held[1:]))
+    assert emptied == (limit is not None)

@@ -3,12 +3,13 @@ from fractions import Fraction
 
 import pytest
 
+from ghostkit import fusion
 from ghostkit.cli import main
 from ghostkit.config import Config
 from ghostkit.modules import BStr, FormalSum, Proj, TStr, Typ, Vac
 from ghostkit.verify import (
-    MAX_POOL_COSETS, SUITES, _ring_character, _ring_product, fusion_suite, numerics_suite,
-    pool_modules, run_suites,
+    MAX_POOL_COSETS, SUITES, _ring_character, _ring_product, full_length_adjunction,
+    full_length_pairs, fusion_suite, numerics_suite, pool_modules, run_suites,
 )
 
 
@@ -51,6 +52,29 @@ def test_fusion_suite_reports_counts():
     by_name = {c.name: c for c in checks}
     assert "unordered triples" in by_name["associativity"].detail
     assert "guard-extended" in by_name["commutativity"].detail
+
+
+def test_full_length_adjunction_fails_the_long_string_letter_swap(monkeypatch):
+    # a letter swap in the odd x odd same-letter body past length 13 passes
+    # every pool check; the full-length check fails every pair it changes
+    string_fuse = fusion._string_fuse
+
+    def swapped(a, b):
+        total, guard, s = string_fuse(a, b)
+        if a.n % 2 and b.n % 2 and type(a) is type(b) and max(a.n, b.n) > 13:
+            total = FormalSum([(m._swap(m.n, m.m) if isinstance(m, (BStr, TStr)) else m, k)
+                               for m, k in total])
+        return total, guard, s
+
+    for name in ("_PAIR_CACHE", "_LABELS"):
+        monkeypatch.setattr(fusion, name, {})
+    monkeypatch.setattr(fusion, "_PAIR_HELD", 0)
+    monkeypatch.setattr(fusion, "_string_fuse", swapped)
+    pairs = full_length_pairs()
+    changed = [(a, b) for a, b in pairs
+               if a.n % 2 and b.n % 2 and type(a) is type(b) and max(a.n, b.n) > 13]
+    assert len(changed) == 6
+    assert [pair for pair in pairs if not full_length_adjunction([pair]).passed] == changed
 
 
 def test_cli_verify_fusion_small_pool(capsys):
