@@ -199,12 +199,21 @@ def _fuse_base(a: Module, b: Module) -> tuple[FormalSum, bool, ProjSum | None]:
 # cache at about 130 MB.  ``_LABELS``, keyed by identity key, is emptied with
 # the cache and every stored product takes its labels from it, so it holds
 # only labels of cached products and is bounded by the same count.  The
-# fusion suite ends at 21,013 products holding 132,750, with 2,454 labels in
-# the table, and no benchmark workload comes near the limit.
+# fusion suite fills it to 21,013 products holding 132,750, with 2,454 labels
+# in the table, and empties both when it ends; no benchmark workload comes
+# near the limit.
 PAIR_CACHE_LIMIT = 1 << 19
 _PAIR_CACHE: dict[tuple, tuple[FormalSum, bool, ProjSum | None]] = {}
 _PAIR_HELD = 0  # the count of what _PAIR_CACHE holds, as above
 _LABELS: dict[tuple, Module] = {}  # the one label per identity key, as above
+
+
+def _clear_caches() -> None:
+    """Empty the pair cache and the label table, which are emptied together."""
+    global _PAIR_HELD
+    _PAIR_CACHE.clear()
+    _LABELS.clear()
+    _PAIR_HELD = 0
 
 
 def _fuse_modules(a: Module, b: Module) -> tuple[FormalSum, bool, ProjSum | None]:
@@ -233,9 +242,7 @@ def _fuse_modules(a: Module, b: Module) -> tuple[FormalSum, bool, ProjSum | None
     # emptied before this product's labels enter the table, so that the
     # table holds only labels of cached products
     if _PAIR_HELD + held > PAIR_CACHE_LIMIT:
-        _PAIR_CACHE.clear()
-        _LABELS.clear()
-        _PAIR_HELD = 0
+        _clear_caches()
     # each label is looked up under its identity key, the flow moved by a
     # nonzero shift, and built only when the table lacks it
     terms = []

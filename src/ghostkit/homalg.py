@@ -7,9 +7,10 @@ bilinearly to sums.  Hom is computed structurally:
 * projective and injective objects coincide here, and the simple head of a
   projective, ``W`` itself or ``V[k]`` for ``P[k]``, is also its socle, so
   Hom out of or into a projective is that simple's multiplicity in the
-  other side: equality when either side is a ``W``, ``max(0, 2 - |k - l|)``
-  against ``P[l]``, and ``lo <= k <= hi`` against a simple or string of
-  span ``[lo, hi]``, which has each flow of its span once.  The cover or
+  other side: equality when either side is a ``W``, else one count against
+  any other side of span ``[lo, hi]``, ``lo <= k <= hi`` plus one when that
+  side is ``P[k]``, since a simple or string has each flow of its span once
+  and ``P[l]`` holds ``V[l]`` twice.  The cover or
   hull of a simple is its projective (``W`` or ``P[l]`` over ``V[l]``), and
   a projective is its own, so a cover has one ``P[l]`` per head factor
   ``V[l]`` of each simple or string summand, and a hull one per socle
@@ -46,8 +47,9 @@ composition factor common to ``M`` and ``N``, and ``Ext^1(M, N)`` a factor
 of ``M`` and one of ``N`` at flows at most 1 apart.  The factor span of a
 label is ``(l, l)`` for ``V[l]`` and ``W[c,l]``, ``(m, m+n-1)`` for
 ``B[n,m]`` and ``T[n,m]`` and ``(m-1, m+1)`` for ``P[m]``; when the spans of
-two labels are more than 1 apart, both Hom and Ext are 0 before any other
-rule is applied.
+two labels are more than 1 apart, both Hom and Ext are 0.  The Hom counts
+above already read 0 there and need no test; Ext tests it first
+(``_apart``), which spares it a presentation kernel.
 
 The vacuum block is the zigzag algebra of type A-infinity-infinity, whose
 strings are the ``B`` and ``T`` modules.  One rule, ``_syzygy``, gives the
@@ -79,18 +81,14 @@ def _count(lo: int, hi: int, parities) -> int:
 
 
 def _hom_modules(m: Module, n: Module) -> int:
-    if _apart(m, n):
-        return 0
     if is_projective(m) or is_projective(n):
         # the multiplicity of p's simple head, which is also its socle, in
         # the other side (see the module docstring)
         p, other = (m, n) if is_projective(m) else (n, m)
         if isinstance(p, Typ) or isinstance(other, Typ):
             return int(p == other)
-        if isinstance(other, Proj):
-            return max(0, 2 - abs(p.m - other.m))
         lo, hi = _span(other)
-        return int(lo <= p.m <= hi)
+        return int(lo <= p.m <= hi) + (isinstance(other, Proj) and p.m == other.m)
     # Both sides are simples or strings: count the images on the overlap
     # [lo, hi] of the spans (see the module docstring).
     (lo_m, hi_m), (lo_n, hi_n) = _span(m), _span(n)
@@ -163,8 +161,7 @@ def _cover_hom(m: Module, n: Module) -> int:
 def _ext_modules(m: Module, n: Module) -> int:
     if is_projective(m) or is_projective(n) or _apart(m, n):
         return 0
-    k = presentation_kernel(m)
-    return _hom_modules(k, n) - _cover_hom(m, n) + _hom_modules(m, n)
+    return _hom_modules(_syzygy(m, 0), n) - _cover_hom(m, n) + _hom_modules(m, n)
 
 
 def ext_dim(m, n) -> int:

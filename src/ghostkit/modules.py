@@ -327,24 +327,22 @@ def typ(c, ell: int = 0) -> Typ:
     return Typ(coset(c), _integral(ell, "flow index"))
 
 
-def bstr(n: int, m: int = 0) -> Module:
-    """``B[n,m]`` with the alias ``B[1,m] = V[m]`` resolved."""
+def _resolve_string(cls: type[_String], n, m) -> Module:
+    # the string cls(n, m), or V[m], its alias at length 1
     n, m = _integral(n, "string length"), _integral(m, "flow index")
     if n < 1:
         raise ValueError(f"string length must be >= 1, got {n}")
-    if n == 1:
-        return Vac(m)
-    return BStr(n, m)
+    return Vac(m) if n == 1 else cls(n, m)
+
+
+def bstr(n: int, m: int = 0) -> Module:
+    """``B[n,m]`` with the alias ``B[1,m] = V[m]`` resolved."""
+    return _resolve_string(BStr, n, m)
 
 
 def tstr(n: int, m: int = 0) -> Module:
     """``T[n,m]`` with the alias ``T[1,m] = V[m]`` resolved."""
-    n, m = _integral(n, "string length"), _integral(m, "flow index")
-    if n < 1:
-        raise ValueError(f"string length must be >= 1, got {n}")
-    if n == 1:
-        return Vac(m)
-    return TStr(n, m)
+    return _resolve_string(TStr, n, m)
 
 
 def proj(m: int = 0) -> Proj:

@@ -77,6 +77,31 @@ def test_full_length_adjunction_fails_the_long_string_letter_swap(monkeypatch):
     assert [pair for pair in pairs if not full_length_adjunction([pair]).passed] == changed
 
 
+def test_commutativity_fails_a_string_fusion_that_depends_on_argument_order(monkeypatch):
+    # the engine calls _string_fuse with the B first, so a term added only
+    # for a T first passes every other check and fails commutativity
+    string_fuse = fusion._string_fuse
+
+    def ordered(a, b):
+        total, guard, s = string_fuse(a, b)
+        if isinstance(a, TStr) and isinstance(b, BStr):
+            total = total + FormalSum.of(Vac(0))
+        return total, guard, s
+
+    for name in ("_PAIR_CACHE", "_LABELS"):
+        monkeypatch.setattr(fusion, name, {})
+    monkeypatch.setattr(fusion, "_PAIR_HELD", 0)
+    monkeypatch.setattr(fusion, "_string_fuse", ordered)
+    checks = fusion_suite(Config(pool_max_length=3, pool_max_flow=1))
+    assert [c.name for c in checks if not c.passed] == ["commutativity"]
+
+
+def test_fusion_suite_leaves_the_fusion_caches_empty():
+    fusion_suite(Config(pool_max_length=2, pool_max_flow=1))
+    assert fusion._PAIR_CACHE == {} and fusion._LABELS == {}
+    assert fusion._PAIR_HELD == 0
+
+
 def test_cli_verify_fusion_small_pool(capsys):
     code = main(["--format", "json", "verify", "--suite", "fusion",
                  "--max-length", "3", "--max-flow", "1"])
